@@ -43,6 +43,8 @@ from .families import eades_garvan, eg_chain_oracle, nested_triangles, \
 from .geometry import (
     Drawing,
     Triangle,
+    _face_pairs,
+    _require_planar,
     emit_svg,
     format_drawing,
     load_drawing,
@@ -50,9 +52,9 @@ from .geometry import (
     point_segment_distance,
     separated_object_extremes,
     triangle_resolution,
-    verify_planar_straight_line,
 )
 from .morph import (
+    MIN_STEP_DEFAULT,
     discretize_morph,
     fg_morph,
     format_schedule,
@@ -82,13 +84,6 @@ def _write_text(text, path):
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _require_planar(d, label):
-    ok, violations = verify_planar_straight_line(d)
-    if not ok:
-        raise ValidationError(f"{label} is not a planar straight-line drawing: "
-                              f"{violations[:5]}")
 
 
 # --- draw ----------------------------------------------------------------
@@ -258,18 +253,10 @@ def _nested_ceiling(inst, d_half):
     """
     if inst.k < 3:
         return None
-    g = inst.graph
     ring2 = inst.rings[1]
-    best = math.inf
-    for face in g.faces:
-        for idx in range(3):
-            v = face[idx]
-            if v not in ring2:
-                continue
-            a, b = face[(idx + 1) % 3], face[(idx + 2) % 3]
-            dist = point_segment_distance(d_half.coords[v],
-                                          (d_half.coords[a], d_half.coords[b]))
-            best = min(best, dist)
+    coords = d_half.coords
+    best = min(point_segment_distance(coords[v], (coords[a], coords[b]))
+               for v, (a, b) in _face_pairs(inst.graph) if v in ring2)
     diameter = max(inst.outer.side_lengths())
     return math.log(best / diameter)
 
@@ -293,6 +280,8 @@ def _check_sandwich(row):
 
 def cmd_decay(args):
     ns = list(_parse_n_range(args.n_range))
+    if args.jobs < 0:
+        raise ParseError(f"--jobs must be >= 0 (0 picks a default), got {args.jobs}")
     if args.family == "eg":
         if not 0.0 < args.lam <= 0.25:
             raise ParameterOutOfRange(f"lambda = {args.lam} outside (0, 1/4]")
@@ -334,9 +323,7 @@ def cmd_validate(args):
           f"internal_faces={len(g.faces)}")
     if args.drawing:
         d = load_drawing(args.drawing, g)
-        ok, violations = verify_planar_straight_line(d)
-        if not ok:
-            raise ValidationError(f"drawing violates planarity: {violations[:5]}")
+        _require_planar(d, "drawing")
         rep = separated_object_extremes(d)
         print(f"drawing ok: resolution={rep.resolution:.6g}")
     if args.coeffs:
@@ -354,10 +341,7 @@ def _validate_random(args):
         g = random_stacked_triangulation(n, rng=rng)
         matrix = uniform_coefficients(g)
         d = f_drawing(g, matrix, tri, validate=False)
-        ok, violations = verify_planar_straight_line(d)
-        if not ok:
-            raise ValidationError(
-                f"self-check {i}: drawing violates planarity: {violations[:5]}")
+        _require_planar(d, f"self-check {i}: drawing")
         res = residual(d, matrix)
         if res > 1e-10:
             raise SolverError(f"self-check {i}: residual {res:.3g} above 1e-10")
@@ -400,7 +384,7 @@ def build_parser():
     p.add_argument("drawing1")
     p.add_argument("--discretize", action="store_true",
                    help="emit a schedule of planar linear steps")
-    p.add_argument("--min-step", type=float, default=1e-9, dest="min_step")
+    p.add_argument("--min-step", type=float, default=MIN_STEP_DEFAULT, dest="min_step")
     p.add_argument("--samples", type=int, default=10,
                    help="without --discretize: sample count for floor logging")
     p.add_argument("-t", type=float, default=0.5, dest="t",
@@ -417,7 +401,8 @@ def build_parser():
     p.add_argument("--r", type=float, default=math.sqrt(3.0) / 2.0,
                    help="outer triangle resolution (eg family)")
     p.add_argument("-o", "--output", help="CSV file (default stdout)")
-    p.add_argument("--jobs", type=int, default=0, help="worker threads")
+    p.add_argument("--jobs", type=int, default=0,
+                   help="worker threads (default 0: min(8, CPU count))")
     p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser("validate", help="validate input files or run a self-check")

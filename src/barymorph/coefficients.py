@@ -37,9 +37,6 @@ class CoefficientMatrix:
         self.graph = graph
         self.weights = {v: dict(row) for v, row in sorted(weights.items())}
 
-    def entry(self, v, u):
-        return self.weights[v].get(u, 0.0)
-
     def min_lambda(self):
         return min(w for row in self.weights.values() for w in row.values())
 
@@ -148,7 +145,7 @@ class RecoveryTrace:
     hits: dict         # internal vertex -> tuple of RayHit, one per ray
 
 
-def _recover_vertex(vp, pts, angular_eps):
+def _recover_vertex(vp, pts):
     """Coefficient row for one internal vertex.
 
     vp is the vertex position, pts the neighbor positions in clockwise
@@ -179,7 +176,7 @@ def _recover_vertex(vp, pts, angular_eps):
         q = -unit[k]
         sin_to = q[0] * unit[:, 1] - q[1] * unit[:, 0]  # cross(q, unit_i)
         cos_to = unit @ q
-        vertex_is = np.nonzero((np.abs(sin_to) <= angular_eps) & (cos_to > 0.0))[0]
+        vertex_is = np.nonzero((np.abs(sin_to) <= ANGULAR_EPS) & (cos_to > 0.0))[0]
         if vertex_is.size:
             i = int(vertex_is[0])
             # v lies on the chord u_k .. u_i; weight by arc position.
@@ -220,7 +217,7 @@ def _tri2(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def recover_coefficients(d, angular_eps=ANGULAR_EPS):
+def recover_coefficients(d):
     """Recover a coefficient matrix whose drawing is exactly d.
 
     Expects a planar drawing (caller-verified).  Returns the matrix and
@@ -236,7 +233,7 @@ def recover_coefficients(d, angular_eps=ANGULAR_EPS):
         cw = neighbors_cw(g, v)
         pts = d.coords[list(cw)]
         try:
-            row, hits = _recover_vertex(d.coords[v], pts, angular_eps)
+            row, hits = _recover_vertex(d.coords[v], pts)
         except NonStarShaped as exc:
             raise NonStarShaped(f"vertex {v}: {exc}") from None
         weights[v] = {u: float(w) for u, w in zip(cw, row)}

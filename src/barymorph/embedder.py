@@ -57,12 +57,12 @@ def assemble_system(g, matrix, triangle, validate=True):
                              A=A, bx=bx, by=by)
 
 
-def _solve(system, dense_limit=DENSE_LIMIT):
+def _solve(system):
     A, bx, by = system.A, system.bx, system.by
     N = A.shape[0]
     if N == 0:
         return np.empty(0), np.empty(0)
-    if N <= dense_limit:
+    if N <= DENSE_LIMIT:
         try:
             with np.errstate(all="ignore"):
                 lu, piv = scipy.linalg.lu_factor(A)
@@ -95,7 +95,18 @@ def _relative_residual(A, z, b):
     return num / den
 
 
-def f_drawing(g, matrix, triangle, validate=True, check=True, dense_limit=DENSE_LIMIT):
+def _place(system, x, y):
+    """Coordinates with the outer cycle on the system's triangle and the
+    internal vertices at the solution (x, y)."""
+    coords = np.empty((system.graph.vertex_count, 2))
+    coords[list(system.graph.outer_cycle)] = system.triangle.points
+    internal = list(system.internal_ids)
+    coords[internal, 0] = x
+    coords[internal, 1] = y
+    return coords
+
+
+def f_drawing(g, matrix, triangle, validate=True, check=True):
     """Drawing fixed by the coefficients, outer cycle on the triangle.
 
     check=True enforces the residual tolerance and that every internal
@@ -103,12 +114,8 @@ def f_drawing(g, matrix, triangle, validate=True, check=True, dense_limit=DENSE_
     verification is the caller's business).
     """
     system = assemble_system(g, matrix, triangle, validate=validate)
-    x, y = _solve(system, dense_limit=dense_limit)
-    coords = np.empty((g.vertex_count, 2))
-    for i, v in enumerate(g.outer_cycle):
-        coords[v] = triangle.points[i]
-    for i, v in enumerate(system.internal_ids):
-        coords[v] = (x[i], y[i])
+    x, y = _solve(system)
+    coords = _place(system, x, y)
     if check:
         rx = _relative_residual(system.A, x, system.bx)
         ry = _relative_residual(system.A, y, system.by)
@@ -123,9 +130,9 @@ def f_drawing(g, matrix, triangle, validate=True, check=True, dense_limit=DENSE_
     return Drawing(g, coords)
 
 
-def t_drawing(g, triangle, **kwargs):
+def t_drawing(g, triangle):
     """Drawing from uniform coefficients (the barycenter iteration fixpoint)."""
-    return f_drawing(g, uniform_coefficients(g), triangle, validate=False, **kwargs)
+    return f_drawing(g, uniform_coefficients(g), triangle, validate=False)
 
 
 def residual(d, matrix):

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientMatrix
-from .errors import ParameterOutOfRange, ValidationError
-from .geometry import SQRT3_2, Drawing, Triangle, verify_planar_straight_line
+from .errors import ParameterOutOfRange
+from .geometry import SQRT3_2, Drawing, Triangle, _require_planar
 from .plane_graph import build_maximal_plane_graph
 
 
@@ -146,10 +146,8 @@ def nested_triangles(n):
             coords1[zid(i)], coords1[vid(i)], coords1[uid(i)] = left(i), top(i), right(i)
     gamma0 = Drawing(g, coords0)
     gamma1 = Drawing(g, coords1)
-    for name, d in (("gamma0", gamma0), ("gamma1", gamma1)):
-        ok, violations = verify_planar_straight_line(d)
-        if not ok:
-            raise ValidationError(f"{name} failed planarity: {violations[:3]}")
+    _require_planar(gamma0, "gamma0")
+    _require_planar(gamma1, "gamma1")
     outer = Triangle([left(k), right(k), top(k)])
     rings = tuple((uid(i), vid(i), zid(i)) for i in range(1, k + 1))
     return NestedTrianglesInstance(graph=g, k=k, rings=rings,

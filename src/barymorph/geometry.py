@@ -125,10 +125,6 @@ def _points_segment_distance(points, a, b):
                     points[:, 1] - (a[1] + t * ab[1]))
 
 
-def _edge_array(g):
-    return np.array(g.edges, dtype=int).reshape(-1, 2)
-
-
 def _vertex_edge_matrix(coords, E):
     n = coords.shape[0]
     D = np.empty((n, E.shape[0]))
@@ -137,38 +133,23 @@ def _vertex_edge_matrix(coords, E):
     return D
 
 
-def separated_object_extremes(d, include_adjacent_vertices=True):
-    """Min and max distance over separated object pairs, with witnesses.
+def _separated_pairs(d):
+    """Distance tables and masks over the separated pairs of a drawing.
 
-    Brute force over all vertex/vertex, vertex/edge and edge/edge pairs;
-    O((n+m)^2) but fully vectorized.  Distances between non-adjacent
-    edges assume the drawing is planar (segments do not cross), which
-    callers are expected to have verified.
-
-    include_adjacent_vertices=False drops adjacent vertex pairs, a
-    sensitivity knob; the standard definition keeps them.
-
-    Exactly coincident vertices are an error (resolution would be 0);
-    arbitrarily small positive separations are measured faithfully, as
-    the adversarial families drive them below any fixed epsilon.
+    Returns (E, vv, D_ve, vv_mask, ve_mask, ee_mask): the m x 2 edge
+    array in stored order, the n x n vertex distances, the n x m
+    vertex/segment distances, and masks selecting distinct vertex pairs
+    (upper triangle), vertices that do not bound the edge, and edges
+    without a shared endpoint (upper triangle).
     """
-    g, coords = d.graph, d.coords
-    n = g.vertex_count
-    E = _edge_array(g)
+    coords = d.coords
+    n = coords.shape[0]
+    E = np.array(d.graph.edges, dtype=int).reshape(-1, 2)
     m = E.shape[0]
 
     diff = coords[:, None, :] - coords[None, :, :]
     vv = np.hypot(diff[..., 0], diff[..., 1])
-    iu, ju = np.triu_indices(n, 1)
-    if vv[iu, ju].min() == 0.0:
-        i = int(np.argmin(vv[iu, ju]))
-        raise DegenerateDrawing(f"vertices {iu[i]} and {ju[i]} coincide")
-
-    vv_mask = np.zeros((n, n), dtype=bool)
-    vv_mask[iu, ju] = True
-    if not include_adjacent_vertices:
-        for a, b in E:
-            vv_mask[min(a, b), max(a, b)] = False
+    vv_mask = np.triu(np.ones((n, n), dtype=bool), 1)
 
     D_ve = _vertex_edge_matrix(coords, E)
     ve_mask = np.ones((n, m), dtype=bool)
@@ -176,22 +157,51 @@ def separated_object_extremes(d, include_adjacent_vertices=True):
     ve_mask[E[:, 0], cols] = False
     ve_mask[E[:, 1], cols] = False
 
-    # Edge/edge min distance from the four endpoint-to-segment values;
-    # valid because non-adjacent edges of a planar drawing do not cross.
-    A0 = D_ve[E[:, 0], :]
-    A1 = D_ve[E[:, 1], :]
-    ee = np.minimum(np.minimum(A0, A1).T, np.minimum(A0, A1))
+    # four 2-D compares; one 4-D broadcast is markedly slower on big meshes
     share = np.zeros((m, m), dtype=bool)
     for k in range(2):
         for l in range(2):
             share |= E[:, k][:, None] == E[:, l][None, :]
     ee_mask = np.triu(~share, 1)
+    return E, vv, D_ve, vv_mask, ve_mask, ee_mask
 
-    groups = []
-    if vv_mask.any():
-        groups.append((vv, vv_mask, lambda i, j: (("vertex", i), ("vertex", j))))
-    groups.append((D_ve, ve_mask,
-                   lambda i, j: (("vertex", i), ("edge", tuple(E[j])))))
+
+def _face_pairs(g):
+    """(vertex, opposite edge) for each corner of each internal face.
+
+    The edge comes in stored (min, max) order, so a distance computed
+    from it equals the brute-force value bit for bit.
+    """
+    for tri in g.faces:
+        for i in range(3):
+            a, b = tri[(i + 1) % 3], tri[(i + 2) % 3]
+            yield tri[i], (min(a, b), max(a, b))
+
+
+def separated_object_extremes(d):
+    """Min and max distance over separated object pairs, with witnesses.
+
+    Brute force over all vertex/vertex, vertex/edge and edge/edge pairs;
+    O((n+m)^2) but fully vectorized.  Distances between non-adjacent
+    edges assume the drawing is planar (segments do not cross), which
+    callers are expected to have verified.
+
+    Exactly coincident vertices are an error (resolution would be 0);
+    arbitrarily small positive separations are measured faithfully, as
+    the adversarial families drive them below any fixed epsilon.
+    """
+    E, vv, D_ve, vv_mask, ve_mask, ee_mask = _separated_pairs(d)
+    iu, ju = np.nonzero(vv_mask & (vv == 0.0))
+    if iu.size:
+        raise DegenerateDrawing(f"vertices {iu[0]} and {ju[0]} coincide")
+
+    # Edge/edge min distance from the four endpoint-to-segment values;
+    # valid because non-adjacent edges of a planar drawing do not cross.
+    near = np.minimum(D_ve[E[:, 0], :], D_ve[E[:, 1], :])
+    ee = np.minimum(near.T, near)
+
+    groups = [(vv, vv_mask, lambda i, j: (("vertex", i), ("vertex", j))),
+              (D_ve, ve_mask, lambda i, j: (("vertex", i), ("edge", tuple(E[j]))))]
     if ee_mask.any():
         groups.append((ee, ee_mask,
                        lambda i, j: (("edge", tuple(E[i])), ("edge", tuple(E[j])))))
@@ -224,17 +234,12 @@ def min_distance_internal_face_witness(d):
     suffices.  Returns the witness; its distance equals the brute-force
     minimum of separated_object_extremes exactly (same evaluation).
     """
-    g, coords = d.graph, d.coords
+    coords = d.coords
     best = None
-    for tri in g.faces:
-        for i in range(3):
-            v = tri[i]
-            a, b = tri[(i + 1) % 3], tri[(i + 2) % 3]
-            if a > b:
-                a, b = b, a  # stored edge order, so values match brute force
-            dist = point_segment_distance(coords[v], (coords[a], coords[b]))
-            if best is None or dist < best.distance:
-                best = FaceWitness(vertex=v, edge=(a, b), distance=dist)
+    for v, (a, b) in _face_pairs(d.graph):
+        dist = point_segment_distance(coords[v], (coords[a], coords[b]))
+        if best is None or dist < best.distance:
+            best = FaceWitness(vertex=v, edge=(a, b), distance=dist)
     if best is None:
         raise WitnessNotFound("graph has no internal faces")
     return best
@@ -311,7 +316,7 @@ def outer_triangle(d):
 
 # --- planarity verification ---------------------------------------------
 
-def verify_planar_straight_line(d, eps=None):
+def verify_planar_straight_line(d):
     """Check a drawing is planar and realizes its graph's embedding.
 
     Verifies: no coincident vertices, no vertex in the relative interior
@@ -319,54 +324,40 @@ def verify_planar_straight_line(d, eps=None):
     angular neighbor order at each vertex matches the rotation derived
     from the face list, and the outer triangle is counter-clockwise with
     every other vertex strictly inside.  Returns (ok, violations) where
-    violations is a list of (code, payload) pairs.
+    violations is a list of (code, payload) pairs.  Tolerances scale
+    geometric_eps() by the drawing's coordinate magnitude.
     """
-    if eps is None:
-        eps = geometric_eps()
+    eps = geometric_eps()
     g, coords = d.graph, d.coords
     n = g.vertex_count
-    E = _edge_array(g)
-    m = E.shape[0]
     scale = d.scale
     eps_len = eps * scale
     eps_area = eps * scale * scale
     violations = []
 
-    diff = coords[:, None, :] - coords[None, :, :]
-    vv = np.hypot(diff[..., 0], diff[..., 1])
-    iu, ju = np.triu_indices(n, 1)
-    close = vv[iu, ju] <= eps_len
-    for k in np.nonzero(close)[0]:
-        violations.append(("coincident_vertices", (int(iu[k]), int(ju[k]))))
-
-    D_ve = _vertex_edge_matrix(coords, E)
-    ve_mask = np.ones((n, m), dtype=bool)
-    cols = np.arange(m)
-    ve_mask[E[:, 0], cols] = False
-    ve_mask[E[:, 1], cols] = False
-    hit = ve_mask & (D_ve <= eps_len)
-    for vi, ej in zip(*np.nonzero(hit)):
+    E, vv, D_ve, vv_mask, ve_mask, ee_mask = _separated_pairs(d)
+    for vi, vj in zip(*np.nonzero(vv_mask & (vv <= eps_len))):
+        violations.append(("coincident_vertices", (int(vi), int(vj))))
+    for vi, ej in zip(*np.nonzero(ve_mask & (D_ve <= eps_len))):
         violations.append(("vertex_on_edge", (int(vi), tuple(E[ej]))))
 
     # Proper crossings between non-adjacent edges.
     P = coords[E[:, 0]]
     Q = coords[E[:, 1]]
     dir1 = Q - P
-    o1 = _cross(dir1[:, None, :], P[None, :, :] - P[:, None, :])
-    o2 = _cross(dir1[:, None, :], Q[None, :, :] - P[:, None, :])
+    # _cross spelled out per coordinate: same arithmetic, but no m x m x 2
+    # temporary, which set the verifier's peak memory on large meshes
+    dx, dy = dir1[:, 0, None], dir1[:, 1, None]
+    o1 = dx * (P[None, :, 1] - P[:, None, 1]) - dy * (P[None, :, 0] - P[:, None, 0])
+    o2 = dx * (Q[None, :, 1] - P[:, None, 1]) - dy * (Q[None, :, 0] - P[:, None, 0])
     straddle = ((o1 > eps_area) & (o2 < -eps_area)) | ((o1 < -eps_area) & (o2 > eps_area))
-    share = np.zeros((m, m), dtype=bool)
-    for k in range(2):
-        for l in range(2):
-            share |= E[:, k][:, None] == E[:, l][None, :]
-    crossing = straddle & straddle.T & ~share & np.triu(np.ones((m, m), dtype=bool), 1)
+    crossing = straddle & straddle.T & ee_mask
     for ei, ej in zip(*np.nonzero(crossing)):
         violations.append(("edge_crossing", (tuple(E[ei]), tuple(E[ej]))))
 
     # Collinear non-adjacent edges overlapping along their common line.
     flat = (np.abs(o1) <= eps_area) & (np.abs(o2) <= eps_area) \
-        & (np.abs(o1).T <= eps_area) & (np.abs(o2).T <= eps_area) \
-        & ~share & np.triu(np.ones((m, m), dtype=bool), 1)
+        & (np.abs(o1).T <= eps_area) & (np.abs(o2).T <= eps_area) & ee_mask
     for ei, ej in zip(*np.nonzero(flat)):
         axis = dir1[ei]
         t0, t1 = 0.0, float(axis @ axis)
@@ -413,6 +404,14 @@ def verify_planar_straight_line(d, eps=None):
             violations.append(("outside_outer_face", inner[k]))
 
     return (not violations), violations
+
+
+def _require_planar(d, label):
+    """Raise ValidationError naming label unless d verifies planar."""
+    ok, violations = verify_planar_straight_line(d)
+    if not ok:
+        raise ValidationError(f"{label} is not a planar straight-line drawing: "
+                              f"{violations[:5]}")
 
 
 # --- text format and SVG -------------------------------------------------

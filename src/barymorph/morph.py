@@ -15,16 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import assert_valid, interpolate
-from .embedder import BarycentricSystem, assemble_system, f_drawing, _solve
+from .embedder import BarycentricSystem, _place, _solve, assemble_system, f_drawing
 from .errors import (
     GraphMismatch,
     ParameterOutOfRange,
     ParseError,
     StepStalled,
-    ValidationError,
 )
 from .geometry import (
     Drawing,
+    _require_planar,
+    parse_drawing,
     separated_object_extremes,
     triangle_resolution,
     verify_planar_straight_line,
@@ -33,6 +34,7 @@ from .geometry import (
 MIN_STEP_DEFAULT = 1e-9
 BISECT_TOL = 1e-12
 INTERIOR_SAMPLES = 9
+SCHEDULE_TOL = 1e-12  # validate_schedule: coordinate and radius slack
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,6 @@ class _MorphSolver:
         self.m = m
         self.s0 = assemble_system(m.graph, m.m0, m.outer, validate=False)
         self.s1 = assemble_system(m.graph, m.m1, m.outer, validate=False)
-        g = m.graph
-        self.base = np.empty((g.vertex_count, 2))
-        for i, v in enumerate(g.outer_cycle):
-            self.base[v] = m.outer.points[i]
 
     def coords_at(self, t):
         s = 1.0 - t
@@ -82,13 +80,9 @@ class _MorphSolver:
         A = s * sys0.A + t * sys1.A
         bx = s * sys0.bx + t * sys1.bx
         by = s * sys0.by + t * sys1.by
-        x, y = _solve(BarycentricSystem(graph=sys0.graph, triangle=sys0.triangle,
-                                        internal_ids=sys0.internal_ids,
-                                        A=A, bx=bx, by=by))
-        coords = self.base.copy()
-        for i, v in enumerate(sys0.internal_ids):
-            coords[v] = (x[i], y[i])
-        return coords
+        system = BarycentricSystem(graph=sys0.graph, triangle=sys0.triangle,
+                                   internal_ids=sys0.internal_ids, A=A, bx=bx, by=by)
+        return _place(system, *_solve(system))
 
 
 def lambda_min_at(m, t):
@@ -132,20 +126,15 @@ class MorphSchedule:
         return len(self.checkpoints) - 1
 
 
-def _check_linear_step(graph, a, b, interior_samples, context):
+def _check_linear_step(graph, a, b, context):
     """Planarity of interior drawings of the straight-line motion a -> b."""
-    for s in range(1, interior_samples + 1):
-        frac = s / (interior_samples + 1)
+    for s in range(1, INTERIOR_SAMPLES + 1):
+        frac = s / (INTERIOR_SAMPLES + 1)
         mid = Drawing(graph, (1.0 - frac) * a.coords + frac * b.coords)
-        ok, violations = verify_planar_straight_line(mid)
-        if not ok:
-            raise ValidationError(
-                f"linear step {context} loses planarity at fraction {frac:.2f}: "
-                f"{violations[:3]}")
+        _require_planar(mid, f"linear step {context} at fraction {frac:.2f}")
 
 
-def discretize_morph(m, min_step=MIN_STEP_DEFAULT, interior_samples=INTERIOR_SAMPLES,
-                     bisect_tol=BISECT_TOL):
+def discretize_morph(m, min_step=MIN_STEP_DEFAULT):
     """Greedy safe discretization of a morph into straight-line steps.
 
     Every step moves each coordinate by at most a third of the previous
@@ -158,9 +147,7 @@ def discretize_morph(m, min_step=MIN_STEP_DEFAULT, interior_samples=INTERIOR_SAM
         raise ParameterOutOfRange(f"min_step = {min_step} outside (0, 1)")
     solver = _MorphSolver(m)
     psi = morph_at(m, 0.0)
-    ok, violations = verify_planar_straight_line(psi)
-    if not ok:
-        raise ValidationError(f"drawing at t=0 not planar: {violations[:3]}")
+    _require_planar(psi, "drawing at t=0")
     t = 0.0
     checkpoints = [(0.0, psi)]
     radii = []
@@ -174,7 +161,7 @@ def discretize_morph(m, min_step=MIN_STEP_DEFAULT, interior_samples=INTERIOR_SAM
             t_next = 1.0
         else:
             lo, hi = t, 1.0
-            while hi - lo > bisect_tol:
+            while hi - lo > BISECT_TOL:
                 mid = 0.5 * (lo + hi)
                 if within(mid):
                     lo = mid
@@ -186,19 +173,15 @@ def discretize_morph(m, min_step=MIN_STEP_DEFAULT, interior_samples=INTERIOR_SAM
                     f"safe step from t={t:.6g} is {t_next - t:.3g}, "
                     f"below min_step={min_step:.3g}")
         psi_next = morph_at(m, t_next)
-        ok, violations = verify_planar_straight_line(psi_next)
-        if not ok:
-            raise ValidationError(
-                f"drawing at t={t_next:.6g} not planar: {violations[:3]}")
-        _check_linear_step(m.graph, psi, psi_next, interior_samples,
-                           f"[{t:.6g}, {t_next:.6g}]")
+        _require_planar(psi_next, f"drawing at t={t_next:.6g}")
+        _check_linear_step(m.graph, psi, psi_next, f"[{t:.6g}, {t_next:.6g}]")
         checkpoints.append((t_next, psi_next))
         radii.append(radius)
         psi, t = psi_next, t_next
     return MorphSchedule(checkpoints=tuple(checkpoints), step_radii=tuple(radii))
 
 
-def validate_schedule(m, schedule, tol=1e-12):
+def validate_schedule(m, schedule):
     """Independent pass over a schedule; returns a list of violations.
 
     Recomputes every drawing from its t, the per-step safe radii from
@@ -206,9 +189,10 @@ def validate_schedule(m, schedule, tol=1e-12):
     """
     violations = []
     cps = schedule.checkpoints
-    if not cps or cps[0][0] != 0.0 or cps[-1][0] != 1.0:
-        violations.append(("endpoints", (cps[0][0] if cps else None,
-                                         cps[-1][0] if cps else None)))
+    if not cps:
+        return [("endpoints", (None, None))]
+    if cps[0][0] != 0.0 or cps[-1][0] != 1.0:
+        violations.append(("endpoints", (cps[0][0], cps[-1][0])))
     ts = [t for t, _ in cps]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         violations.append(("t_not_increasing", tuple(ts)))
@@ -216,7 +200,7 @@ def validate_schedule(m, schedule, tol=1e-12):
     for t, drawing in cps:
         expected = morph_at(m, t, check=False)
         dev = float(np.abs(expected.coords - drawing.coords).max())
-        if dev > tol * scale:
+        if dev > SCHEDULE_TOL * scale:
             violations.append(("checkpoint_mismatch", (t, dev)))
         ok, vio = verify_planar_straight_line(drawing)
         if not ok:
@@ -224,11 +208,11 @@ def validate_schedule(m, schedule, tol=1e-12):
     for j, ((ta, da), (tb, db)) in enumerate(zip(cps, cps[1:])):
         radius = separated_object_extremes(da).min_dist / 3.0
         motion = float(np.abs(db.coords - da.coords).max())
-        if motion > radius + tol:
+        if motion > radius + SCHEDULE_TOL:
             violations.append(("step_too_large", (j, motion, radius)))
         if j < len(schedule.step_radii):
             rec = schedule.step_radii[j]
-            if abs(rec - radius) > tol * max(1.0, radius):
+            if abs(rec - radius) > SCHEDULE_TOL * max(1.0, radius):
                 violations.append(("radius_mismatch", (j, rec, radius)))
     return violations
 
@@ -294,6 +278,8 @@ def parse_schedule(text, graph):
         k = int(lines[0].split()[2])
     except (IndexError, ValueError):
         raise ParseError("bad schedule header") from None
+    if k < 1:
+        raise ParseError(f"schedule needs k >= 1 steps, got {k}")
     n = graph.vertex_count
     body = lines[1:]
     if len(body) != (k + 1) * (n + 1):
@@ -302,21 +288,20 @@ def parse_schedule(text, graph):
     checkpoints = []
     for c in range(k + 1):
         block = body[c * (n + 1):(c + 1) * (n + 1)]
-        if not block[0].startswith("t "):
+        tokens = block[0].split()
+        if tokens[0] != "t" or len(tokens) != 2:
             raise ParseError(f"checkpoint {c}: expected 't <value>'")
-        t = float(block[0].split()[1])
-        coords = np.empty((n, 2))
-        seen = set()
-        for line in block[1:]:
-            tokens = line.split()
-            if tokens[0] != "v" or len(tokens) != 4:
-                raise ParseError(f"checkpoint {c}: bad vertex line {line!r}")
-            i = int(tokens[1])
-            if i in seen or not 0 <= i < n:
-                raise ParseError(f"checkpoint {c}: bad vertex id {i}")
-            seen.add(i)
-            coords[i] = (float(tokens[2]), float(tokens[3]))
-        checkpoints.append((t, Drawing(graph, coords)))
+        try:
+            t = float(tokens[1])
+        except ValueError:
+            raise ParseError(f"checkpoint {c}: bad time {tokens[1]!r}") from None
+        if not 0.0 <= t <= 1.0:
+            raise ParseError(f"checkpoint {c}: time {t} outside [0, 1]")
+        try:
+            drawing = parse_drawing("\n".join(block[1:]), graph)
+        except ParseError as exc:
+            raise ParseError(f"checkpoint {c}: {exc}") from None
+        checkpoints.append((t, drawing))
     radii = tuple(separated_object_extremes(d).min_dist / 3.0
                   for _, d in checkpoints[:-1])
     return MorphSchedule(checkpoints=tuple(checkpoints), step_radii=radii)

@@ -82,11 +82,6 @@ class PlaneGraph:
     def has_edge(self, u, v):
         return v in self._adjacency[u] if 0 <= u < self.vertex_count else False
 
-    def has_internal_face(self, tri):
-        """Whether the unordered triple bounds an internal face."""
-        a, b, c = tri
-        return _canon((a, b, c)) in self._face_set or _canon((a, c, b)) in self._face_set
-
     def _check_vertex(self, v):
         if not isinstance(v, (int,)) or not 0 <= v < self.vertex_count:
             raise UnknownVertex(f"vertex {v!r} not in 0..{self.vertex_count - 1}")

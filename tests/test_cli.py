@@ -150,6 +150,12 @@ def test_decay_bad_range_is_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_decay_negative_jobs_is_exit_2(capsys):
+    assert main(["decay", "--family", "eg", "--n-range", "7:9",
+                 "--jobs", "-1"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_decay_lambda_out_of_range_is_exit_3(capsys):
     assert main(["decay", "--family", "eg", "--n-range", "7:9",
                  "--lambda", "0.4"]) == 3

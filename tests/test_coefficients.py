@@ -150,7 +150,7 @@ def test_recover_vertex_hit_branch():
     # Ray from the top neighbor passes exactly through the bottom one.
     vp = np.array([0.0, 0.0])
     pts = np.array([[0.0, 2.0], [2.0, 0.5], [0.0, -1.0], [-2.0, 0.5]])
-    row, hits = _recover_vertex(vp, pts, 1e-10)
+    row, hits = _recover_vertex(vp, pts)
     assert hits[0].kind == "vertex"
     assert hits[0].hit == 2
     assert hits[0].mu[0] == pytest.approx(1 / 3, abs=1e-14)

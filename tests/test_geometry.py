@@ -7,12 +7,17 @@ from barymorph import (
     Drawing,
     Triangle,
     apply_rigid_transform,
+    build_maximal_plane_graph,
+    eades_garvan,
+    f_drawing,
     emit_svg,
     format_drawing,
     min_distance_internal_face_witness,
+    nested_triangles,
     outer_triangle,
     parse_drawing,
     point_segment_distance,
+    random_stacked_triangulation,
     separated_object_extremes,
     t_drawing,
     triangle_extent_check,
@@ -65,16 +70,6 @@ def test_resolution_scale_invariance(k4, equilateral):
     assert b.resolution == pytest.approx(a.resolution, rel=1e-12)
 
 
-def test_adjacent_vertex_flag(k4, equilateral):
-    d = t_drawing(k4, equilateral)
-    full = separated_object_extremes(d)
-    no_adj = separated_object_extremes(d, include_adjacent_vertices=False)
-    # Every K4 vertex pair is adjacent, so the min survives via the
-    # vertex-edge pairs and the value is unchanged here.
-    assert no_adj.min_dist == full.min_dist
-    assert no_adj.max_dist <= full.max_dist
-
-
 def test_coincident_vertices_rejected(k4):
     coords = np.array([[0, 0], [1, 0], [0.5, 1], [0, 0]], dtype=float)
     with pytest.raises(DegenerateDrawing):
@@ -85,6 +80,41 @@ def test_tiny_positive_separation_is_measured(k4):
     coords = np.array([[0, 0], [1, 0], [0.5, 1], [1e-13, 0]], dtype=float)
     rep = separated_object_extremes(Drawing(k4, coords))
     assert rep.min_dist == pytest.approx(1e-13, rel=1e-12)
+
+
+
+def _extremes_by_loops(d):
+    """Reference min and max over separated pairs, one pair at a time."""
+    g, p = d.graph, d.coords
+    n = g.vertex_count
+    values = [float(np.hypot(*(p[i] - p[j])))
+              for i in range(n) for j in range(i + 1, n)]
+    to_edge = {e: [point_segment_distance(p[v], (p[e[0]], p[e[1]]))
+                   for v in range(n)] for e in g.edges}
+    values += [to_edge[e][v] for e in g.edges for v in range(n) if v not in e]
+    for i, e in enumerate(g.edges):
+        for f in g.edges[i + 1:]:
+            if not set(e) & set(f):
+                values.append(min(to_edge[f][e[0]], to_edge[f][e[1]],
+                                  to_edge[e][f[0]], to_edge[e][f[1]]))
+    return min(values), max(values)
+
+
+def _reference_drawings(equilateral):
+    inst = nested_triangles(9)
+    yield "nested9_a", inst.gamma0
+    yield "nested9_b", inst.gamma1
+    for seed, n in enumerate((5, 8, 12, 20, 30)):
+        yield f"stacked{n}", t_drawing(random_stacked_triangulation(n, seed=seed),
+                                       equilateral)
+    chain = eades_garvan(9, 0.25, SQRT3_2)
+    yield "chain9", f_drawing(chain.graph, chain.matrix, chain.outer, validate=False)
+
+
+def test_extremes_equal_pairwise_reference(equilateral):
+    for name, d in _reference_drawings(equilateral):
+        rep = separated_object_extremes(d)
+        assert (rep.min_dist, rep.max_dist) == _extremes_by_loops(d), name
 
 
 # --- triangles -----------------------------------------------------------
@@ -181,6 +211,78 @@ def test_verify_nested_prescribed_drawings():
     for d in (inst.gamma0, inst.gamma1):
         ok, violations = verify_planar_straight_line(d)
         assert ok, violations
+
+
+
+# K4 with vertex 4 stacked into face (0, 1, 3) and vertex 5 into face
+# (1, 2, 3), drawn on integers so every orientation test is exact.
+STACKED6_FACES = [(0, 1, 4), (1, 3, 4), (3, 0, 4), (1, 2, 5), (2, 3, 5),
+                  (3, 1, 5), (0, 3, 2)]
+STACKED6_COORDS = [[0, 0], [12, 0], [6, 12], [6, 4], [6, 1], [8, 5]]
+
+
+@pytest.fixture(scope="module")
+def stacked6():
+    return build_maximal_plane_graph(STACKED6_FACES, (0, 1, 2))
+
+
+def test_verify_stacked6_planar(stacked6):
+    assert verify_planar_straight_line(Drawing(stacked6, STACKED6_COORDS)) == (True, [])
+
+
+@pytest.mark.parametrize("vertex, position, expected", [
+    (4, (0, 0), [  # onto an outer corner
+        ("coincident_vertices", (0, 4)),
+        ("vertex_on_edge", (0, (1, 4))),
+        ("vertex_on_edge", (0, (3, 4))),
+        ("vertex_on_edge", (4, (0, 1))),
+        ("vertex_on_edge", (4, (0, 2))),
+        ("vertex_on_edge", (4, (0, 3))),
+        ("zero_angle", (1, 0, 4)),
+        ("zero_angle", (3, 0, 4)),
+        ("outside_outer_face", 4),
+    ]),
+    (4, (3, 2), [  # onto the midpoint of edge (0, 3)
+        ("vertex_on_edge", (4, (0, 3))),
+        ("zero_angle", (0, 3, 4)),
+        ("zero_angle", (3, 0, 4)),
+    ]),
+    (3, (1, 1), [  # across edge (0, 4) into a neighboring face
+        ("edge_crossing", ((0, 4), (1, 3))),
+        ("rotation_mismatch", 1),
+        ("rotation_mismatch", 3),
+    ]),
+    (5, (6, 2), [  # edge (2, 5) now runs along edge (3, 4)
+        ("vertex_on_edge", (3, (2, 5))),
+        ("vertex_on_edge", (5, (3, 4))),
+        ("edge_overlap", ((2, 5), (3, 4))),
+        ("zero_angle", (2, 3, 5)),
+        ("zero_angle", (3, 4, 5)),
+        ("zero_angle", (5, 2, 3)),
+        ("rotation_mismatch", 1),
+    ]),
+    (5, (13, 6), [  # outside the outer triangle
+        ("edge_crossing", ((1, 2), (3, 5))),
+        ("rotation_mismatch", 1),
+        ("rotation_mismatch", 2),
+        ("outside_outer_face", 5),
+    ]),
+], ids=["coincident", "on_edge", "crossing", "overlap", "outside"])
+def test_verify_violation_lists(stacked6, vertex, position, expected):
+    coords = np.array(STACKED6_COORDS, dtype=float)
+    coords[vertex] = position
+    ok, violations = verify_planar_straight_line(Drawing(stacked6, coords))
+    assert not ok
+    assert violations == expected
+
+
+def test_verify_violation_list_mirrored(stacked6):
+    coords = np.array(STACKED6_COORDS, dtype=float)
+    coords[:, 0] = 12 - coords[:, 0]
+    ok, violations = verify_planar_straight_line(Drawing(stacked6, coords))
+    assert not ok
+    assert violations == [("rotation_mismatch", v) for v in range(6)] \
+        + [("outer_not_ccw", (0, 1, 2))]
 
 
 # --- fast witness path ---------------------------------------------------

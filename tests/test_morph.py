@@ -5,6 +5,7 @@ import pytest
 
 from barymorph import (
     CoefficientMatrix,
+    MorphSchedule,
     discretize_morph,
     f_drawing,
     fg_curve_length_estimate,
@@ -154,11 +155,21 @@ def test_schedule_roundtrip(k4_morph):
     lambda t: t.rsplit("\nv ", 1)[0] + "\n",        # drop the last vertex line
     lambda t: t.replace("\nv 0 ", "\nw 0 ", 1),     # bad tag
     lambda t: t.replace("\nv 1 ", "\nv 0 ", 1),     # duplicate id
+    lambda t: "schedule k -1\n",                    # negative step count
+    lambda t: t.replace("\nv 1 ", "\nv one ", 1),   # non-integer id
+    lambda t: t.replace("\nv 0 0 ", "\nv 0 x ", 1), # non-numeric coordinate
+    lambda t: t.replace("\nt 0\n", "\nt zero\n", 1),  # non-numeric time
+    lambda t: t.replace("\nt 1\n", "\nt 2\n", 1),     # time outside [0, 1]
 ])
 def test_schedule_parse_errors(k4_morph, mangle):
     text = format_schedule(discretize_morph(k4_morph))
     with pytest.raises(ParseError):
         parse_schedule(mangle(text), k4_morph.graph)
+
+
+def test_validate_schedule_empty_reports_endpoints(k4_morph):
+    empty = MorphSchedule(checkpoints=(), step_radii=())
+    assert validate_schedule(k4_morph, empty) == [("endpoints", (None, None))]
 
 
 def test_validate_schedule_flags_tampering(k4_morph):
