@@ -3,8 +3,8 @@
 Recovers a coefficient matrix from each endpoint, interpolates the
 matrices, and walks the morph in safe steps (each vertex moves at most a
 third of the previous checkpoint's minimum separation).  Every
-checkpoint and sampled interior drawing is planar; SVG frames land in
-demo_out/ (override with --out-dir).
+checkpoint is verified planar and every linear step is proved planar
+at each fraction; SVG frames land in demo_out/ (override with --out-dir).
 
 Equivalent CLI run (after saving graph and drawing files):
     barymorph morph graph.txt g0.txt g1.txt --discretize --frames frames/

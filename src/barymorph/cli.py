@@ -131,6 +131,8 @@ def _checkpoint_svgs(schedule, graph, directory):
 
 
 def cmd_morph(args):
+    if args.samples < 1:
+        raise ParseError(f"--samples must be >= 1, got {args.samples}")
     g = load_graph(args.graph)
     d0 = load_drawing(args.drawing0, g)
     d1 = load_drawing(args.drawing1, g)
@@ -333,6 +335,8 @@ def cmd_validate(args):
 
 
 def _validate_random(args):
+    if args.count < 1:
+        raise ParseError(f"--count must be >= 1, got {args.count}")
     n = args.random_stacked
     tri = Triangle(points=np.array(EQUILATERAL))
     rng = np.random.default_rng(args.seed)

@@ -12,15 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .coefficients import assert_valid, uniform_coefficients
 from .errors import ResidualTooLarge, SingularSystem, SolverError
-from .geometry import Drawing, _cross
+from .geometry import Drawing, _doubled_areas
 
 RESIDUAL_TOL = 1e-10
-DENSE_LIMIT = 4096  # direct LU up to here, iterative beyond
 
 
 @dataclass(frozen=True)
@@ -59,29 +56,15 @@ def assemble_system(g, matrix, triangle, validate=True):
 
 def _solve(system):
     A, bx, by = system.A, system.bx, system.by
-    N = A.shape[0]
-    if N == 0:
-        return np.empty(0), np.empty(0)
-    if N <= DENSE_LIMIT:
-        try:
-            with np.errstate(all="ignore"):
-                lu, piv = scipy.linalg.lu_factor(A)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from None
-        if not np.all(np.isfinite(lu)):
-            raise SingularSystem("LU factorization produced non-finite entries")
-        x = scipy.linalg.lu_solve((lu, piv), bx)
-        y = scipy.linalg.lu_solve((lu, piv), by)
-    else:
-        S = scipy.sparse.csr_matrix(A)
-        x, y = [], []
-        for b in (bx, by):
-            sol, info = scipy.sparse.linalg.bicgstab(
-                S, b, rtol=1e-12, atol=0.0, maxiter=10 * N)
-            if info != 0:
-                raise SingularSystem(f"iterative solve failed (info={info})")
-            x.append(sol)
-        x, y = x
+    try:
+        with np.errstate(all="ignore"):
+            lu, piv = scipy.linalg.lu_factor(A)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from None
+    if not np.all(np.isfinite(lu)):
+        raise SingularSystem("LU factorization produced non-finite entries")
+    x = scipy.linalg.lu_solve((lu, piv), bx)
+    y = scipy.linalg.lu_solve((lu, piv), by)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise SingularSystem("solution contains non-finite entries")
     return x, y
@@ -121,9 +104,7 @@ def f_drawing(g, matrix, triangle, validate=True, check=True):
         ry = _relative_residual(system.A, y, system.by)
         if max(rx, ry) > RESIDUAL_TOL:
             raise ResidualTooLarge(f"relative residual {max(rx, ry):.3e}")
-        tris = np.array(g.faces)
-        p0, p1, p2 = coords[tris[:, 0]], coords[tris[:, 1]], coords[tris[:, 2]]
-        areas = _cross(p1 - p0, p2 - p0)
+        areas = _doubled_areas(coords[list(g.faces)])
         if np.any(areas <= 0.0):
             bad = g.faces[int(np.argmin(areas))]
             raise SolverError(f"internal face {bad} lost its orientation")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .coefficients import CoefficientMatrix
 from .errors import ParameterOutOfRange
-from .geometry import SQRT3_2, Drawing, Triangle, _require_planar
+from .geometry import SQRT3_2, Drawing, Triangle, _doubled_areas, _require_planar
 from .plane_graph import build_maximal_plane_graph
 
 
@@ -156,12 +156,7 @@ def nested_triangles(n):
 
 def ring_triangle_areas(d, rings):
     """Unsigned area of each ring triangle in a drawing."""
-    areas = []
-    for u, v, z in rings:
-        a, b, c = d.coords[u], d.coords[v], d.coords[z]
-        areas.append(0.5 * abs((b[0] - a[0]) * (c[1] - a[1])
-                               - (b[1] - a[1]) * (c[0] - a[0])))
-    return np.array(areas)
+    return 0.5 * np.abs(_doubled_areas(d.coords[list(rings)]))
 
 
 def random_stacked_triangulation(n, seed=None, rng=None):

@@ -39,6 +39,11 @@ def _cross(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def _doubled_areas(tri):
+    """Doubled signed areas of triangles tri[..., 0:3, :], positive if ccw."""
+    return _cross(tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :])
+
+
 @dataclass(frozen=True)
 class Drawing:
     """Coordinates for every vertex of a plane graph.  Immutable."""
@@ -71,7 +76,9 @@ class Triangle:
         pts = np.array(self.points, dtype=float)
         if pts.shape != (3, 2):
             raise DegenerateTriangle(f"expected 3 corner points, got shape {pts.shape}")
-        area2 = _cross(pts[1] - pts[0], pts[2] - pts[0])
+        if not np.all(np.isfinite(pts)):
+            raise DegenerateTriangle("corners contain non-finite values")
+        area2 = _doubled_areas(pts)
         scale = max(1.0, float(np.abs(pts).max()))
         if area2 <= geometric_eps() * scale * scale:
             kind = "clockwise" if area2 < 0 else "collinear"
@@ -81,8 +88,7 @@ class Triangle:
 
     @property
     def signed_area(self):
-        p = self.points
-        return 0.5 * float(_cross(p[1] - p[0], p[2] - p[0]))
+        return 0.5 * float(_doubled_areas(self.points))
 
     def side_lengths(self):
         p = self.points
@@ -125,14 +131,6 @@ def _points_segment_distance(points, a, b):
                     points[:, 1] - (a[1] + t * ab[1]))
 
 
-def _vertex_edge_matrix(coords, E):
-    n = coords.shape[0]
-    D = np.empty((n, E.shape[0]))
-    for j, (a, b) in enumerate(E):
-        D[:, j] = _points_segment_distance(coords, coords[a], coords[b])
-    return D
-
-
 def _separated_pairs(d):
     """Distance tables and masks over the separated pairs of a drawing.
 
@@ -151,7 +149,9 @@ def _separated_pairs(d):
     vv = np.hypot(diff[..., 0], diff[..., 1])
     vv_mask = np.triu(np.ones((n, n), dtype=bool), 1)
 
-    D_ve = _vertex_edge_matrix(coords, E)
+    D_ve = np.empty((n, m))
+    for j, (a, b) in enumerate(E):
+        D_ve[:, j] = _points_segment_distance(coords, coords[a], coords[b])
     ve_mask = np.ones((n, m), dtype=bool)
     cols = np.arange(m)
     ve_mask[E[:, 0], cols] = False
@@ -191,6 +191,7 @@ def separated_object_extremes(d):
     the adversarial families drive them below any fixed epsilon.
     """
     E, vv, D_ve, vv_mask, ve_mask, ee_mask = _separated_pairs(d)
+    edges = d.graph.edges
     iu, ju = np.nonzero(vv_mask & (vv == 0.0))
     if iu.size:
         raise DegenerateDrawing(f"vertices {iu[0]} and {ju[0]} coincide")
@@ -201,10 +202,10 @@ def separated_object_extremes(d):
     ee = np.minimum(near.T, near)
 
     groups = [(vv, vv_mask, lambda i, j: (("vertex", i), ("vertex", j))),
-              (D_ve, ve_mask, lambda i, j: (("vertex", i), ("edge", tuple(E[j]))))]
+              (D_ve, ve_mask, lambda i, j: (("vertex", i), ("edge", edges[j])))]
     if ee_mask.any():
         groups.append((ee, ee_mask,
-                       lambda i, j: (("edge", tuple(E[i])), ("edge", tuple(E[j])))))
+                       lambda i, j: (("edge", edges[i]), ("edge", edges[j]))))
 
     best_min = (math.inf, None)
     best_max = (-math.inf, None)
@@ -266,10 +267,7 @@ def triangle_resolution(t):
     exceeds sqrt(3)/2, attained exactly by equilateral triangles.
     """
     p = t.points
-    dists = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            dists.append(float(np.hypot(*(p[i] - p[j]))))
+    dists = list(t.side_lengths())
     for i in range(3):
         dists.append(point_segment_distance(p[i], (p[(i + 1) % 3], p[(i + 2) % 3])))
     res = min(dists) / max(dists)
@@ -295,12 +293,9 @@ def triangle_extent_check(t):
     p = t.points
     x_extent = float(p[:, 0].max() - p[:, 0].min())
     y_extent = float(p[:, 1].max() - p[:, 1].min())
-    area2 = abs(float(_cross(p[1] - p[0], p[2] - p[0])))
-    ratios = []
-    for i in range(3):
-        side = float(np.hypot(*(p[(i + 1) % 3] - p[i])))
-        ratios.append(area2 / (side * side))  # height over this side, divided by it
-    h_over_l_min = min(ratios)
+    area2 = abs(float(_doubled_areas(p)))
+    # height over each side, divided by that side
+    h_over_l_min = min(area2 / (side * side) for side in t.side_lengths())
     r = triangle_resolution(t)
     if h_over_l_min < r - 1e-12:
         raise ValidationError(f"height/side ratio {h_over_l_min} below resolution {r}")
@@ -339,7 +334,7 @@ def verify_planar_straight_line(d):
     for vi, vj in zip(*np.nonzero(vv_mask & (vv <= eps_len))):
         violations.append(("coincident_vertices", (int(vi), int(vj))))
     for vi, ej in zip(*np.nonzero(ve_mask & (D_ve <= eps_len))):
-        violations.append(("vertex_on_edge", (int(vi), tuple(E[ej]))))
+        violations.append(("vertex_on_edge", (int(vi), g.edges[ej])))
 
     # Proper crossings between non-adjacent edges.
     P = coords[E[:, 0]]
@@ -353,7 +348,7 @@ def verify_planar_straight_line(d):
     straddle = ((o1 > eps_area) & (o2 < -eps_area)) | ((o1 < -eps_area) & (o2 > eps_area))
     crossing = straddle & straddle.T & ee_mask
     for ei, ej in zip(*np.nonzero(crossing)):
-        violations.append(("edge_crossing", (tuple(E[ei]), tuple(E[ej]))))
+        violations.append(("edge_crossing", (g.edges[ei], g.edges[ej])))
 
     # Collinear non-adjacent edges overlapping along their common line.
     flat = (np.abs(o1) <= eps_area) & (np.abs(o2) <= eps_area) \
@@ -365,7 +360,7 @@ def verify_planar_straight_line(d):
         s1 = float((Q[ej] - P[ei]) @ axis)
         lo, hi = min(s0, s1), max(s0, s1)
         if min(t1, hi) - max(t0, lo) > eps_area:
-            violations.append(("edge_overlap", (tuple(E[ei]), tuple(E[ej]))))
+            violations.append(("edge_overlap", (g.edges[ei], g.edges[ej])))
 
     # Zero angle between edges sharing an endpoint.
     for v in range(n):

@@ -5,9 +5,8 @@ outer triangle fixed; every intermediate drawing is the planar solution
 of its own interpolated system.  Discretization walks t forward
 greedily: from checkpoint Psi_j with minimum separation delta_j, the
 largest t' is found (by bisection) whose drawing moves every coordinate
-by at most delta_j / 3.  A straight-line morph between consecutive
-checkpoints then cannot create a crossing, which is verified anyway by
-sampling interior drawings of every linear step.
+by at most delta_j / 3.  Checkpoints are verified in full; each
+straight-line step between them is proved planar by its face areas.
 """
 
 from dataclasses import dataclass
@@ -21,10 +20,13 @@ from .errors import (
     ParameterOutOfRange,
     ParseError,
     StepStalled,
+    ValidationError,
 )
 from .geometry import (
-    Drawing,
+    _cross,
+    _doubled_areas,
     _require_planar,
+    geometric_eps,
     parse_drawing,
     separated_object_extremes,
     triangle_resolution,
@@ -33,7 +35,6 @@ from .geometry import (
 
 MIN_STEP_DEFAULT = 1e-9
 BISECT_TOL = 1e-12
-INTERIOR_SAMPLES = 9
 SCHEDULE_TOL = 1e-12  # validate_schedule: coordinate and radius slack
 
 
@@ -70,7 +71,6 @@ class _MorphSolver:
     """
 
     def __init__(self, m):
-        self.m = m
         self.s0 = assemble_system(m.graph, m.m0, m.outer, validate=False)
         self.s1 = assemble_system(m.graph, m.m1, m.outer, validate=False)
 
@@ -127,11 +127,36 @@ class MorphSchedule:
 
 
 def _check_linear_step(graph, a, b, context):
-    """Planarity of interior drawings of the straight-line motion a -> b."""
-    for s in range(1, INTERIOR_SAMPLES + 1):
-        frac = s / (INTERIOR_SAMPLES + 1)
-        mid = Drawing(graph, (1.0 - frac) * a.coords + frac * b.coords)
-        _require_planar(mid, f"linear step {context} at fraction {frac:.2f}")
+    """Prove the straight-line motion a -> b planar at every fraction.
+
+    On p(s) = (1 - s) a + s b a triangle's doubled signed area is a
+    quadratic A + B s + C s^2, least on [0, 1] at s = 0, s = 1 or, where
+    C > 0, at s* = clip(-B / 2C, 0, 1).  Its minimum alpha over the
+    internal faces and the outer triangle must exceed c eps S^2, with
+    eps = geometric_eps() and S = max(a.scale, b.scale) >= p(s).scale.
+    Every p(s) is then planar with the given embedding (Floater, Math.
+    Comp. 72, 2003), and c = sqrt(8) covers the verifier's face-bounded
+    tests: vertex_on_edge fires at distance eps S, no separated distance
+    is below a face height alpha / L (the face lemma of
+    min_distance_internal_face_witness), and L <= sqrt(8) S, the diagonal
+    of [-S, S]^2; outer_not_ccw and zero_angle within a face need c = 1.
+    zero_angle across faces, edge_overlap and outside_outer_face need a
+    separation delta <= sqrt(eps) S or delta A_out <= sqrt(8) eps S^3, so
+    alpha > sqrt(8 eps) S^2 rules them out; the ends are verified in full.
+    """
+    faces = list(graph.faces) + [graph.outer_cycle]
+    pa, pb = a.coords[faces], b.coords[faces]
+    ua, va = pa[:, 1] - pa[:, 0], pa[:, 2] - pa[:, 0]
+    du, dv = pb[:, 1] - pb[:, 0] - ua, pb[:, 2] - pb[:, 0] - va
+    C = _cross(du, dv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.clip(-(_cross(ua, dv) + _cross(du, va)) / (2.0 * C), 0.0, 1.0)
+    s = np.stack([np.zeros_like(C), np.ones_like(C), np.where(C > 0.0, vertex, 0.0)])
+    alpha = _doubled_areas((1.0 - s)[..., None, None] * pa + s[..., None, None] * pb)
+    worst = int(np.argmin(alpha.min(axis=0)))
+    if not alpha.min() > np.sqrt(8.0) * geometric_eps() * max(a.scale, b.scale) ** 2:
+        raise ValidationError(f"linear step {context}: face {faces[worst]} reaches "
+                              f"doubled area {alpha.min():.3g}")
 
 
 def discretize_morph(m, min_step=MIN_STEP_DEFAULT):
@@ -139,9 +164,9 @@ def discretize_morph(m, min_step=MIN_STEP_DEFAULT):
 
     Every step moves each coordinate by at most a third of the previous
     checkpoint's minimum separation, which keeps the straight-line
-    interpolation between checkpoints planar; each step is verified by
-    sampling anyway.  Raises StepStalled when no admissible step of at
-    least min_step exists.
+    interpolation between checkpoints planar; _check_linear_step proves
+    each step planar at every fraction.  Raises StepStalled when no
+    admissible step of at least min_step exists.
     """
     if not 0.0 < min_step < 1.0:
         raise ParameterOutOfRange(f"min_step = {min_step} outside (0, 1)")

@@ -14,6 +14,7 @@ import numpy as np
 
 from barymorph import (
     CoefficientMatrix,
+    Drawing,
     Triangle,
     discretize_morph,
     eades_garvan,
@@ -272,26 +273,32 @@ def test_criterion_08_nested_morph_pipeline(capsys, nested_instances):
         assert elapsed < 30.0
 
 
+def _c9_morphs(nested_instances, equilateral):
+    """The morphs criterion 09 discretizes: nested 9 and five random pairs."""
+    inst = nested_instances[9]
+    m0, _ = recover_coefficients(inst.gamma0)
+    m1, _ = recover_coefficients(inst.gamma1)
+    morphs = [("nested9", fg_morph(inst.graph, m0, m1, inst.outer))]
+    rng = np.random.default_rng(615001)
+    for i in range(5):
+        n = int(rng.integers(5, 21))
+        g = random_stacked_triangulation(n, rng=rng)
+        morphs.append((f"pair{i}_n{n}",
+                       fg_morph(g, _random_matrix(g, rng),
+                                _random_matrix(g, rng), equilateral)))
+    return morphs
+
+
 def test_criterion_09_discretization_safety(capsys, nested_instances,
                                             equilateral, session_times):
     with criterion(capsys, 9,
                    "discretized morphs: finite planar schedules, steps "
                    "within delta/3, t strictly increasing") as notes:
         t0 = time.perf_counter()
-        inst = nested_instances[9]
-        m0, _ = recover_coefficients(inst.gamma0)
-        m1, _ = recover_coefficients(inst.gamma1)
-        morphs = [("nested9", fg_morph(inst.graph, m0, m1, inst.outer))]
-        rng = np.random.default_rng(615001)
-        for i in range(5):
-            n = int(rng.integers(5, 21))
-            g = random_stacked_triangulation(n, rng=rng)
-            morphs.append((f"pair{i}_n{n}",
-                           fg_morph(g, _random_matrix(g, rng),
-                                    _random_matrix(g, rng), equilateral)))
-        ks = []
+        morphs = _c9_morphs(nested_instances, equilateral)
+        ks, schedules = [], []
         for name, m in morphs:
-            schedule = discretize_morph(m)  # raises if any sample crosses
+            schedule = discretize_morph(m)  # raises if a step is not planar
             assert schedule.k >= 1, name
             ts = [t for t, _ in schedule.checkpoints]
             assert ts[0] == 0.0 and ts[-1] == 1.0, name
@@ -300,13 +307,37 @@ def test_criterion_09_discretization_safety(capsys, nested_instances,
                     zip(schedule.checkpoints, schedule.checkpoints[1:])):
                 motion = float(np.abs(db.coords - da.coords).max())
                 assert motion <= schedule.step_radii[j] + 1e-12, (name, j)
+                # independent oracle for the step check: the full verifier
+                mid = Drawing(da.graph, 0.5 * (da.coords + db.coords))
+                assert verify_planar_straight_line(mid) == (True, []), (name, j)
             assert validate_schedule(m, schedule) == [], name
             ks.append(schedule.k)
+            schedules.append((name, schedule))
         session_times["c9_morphs"] = morphs
+        session_times["c9_schedules"] = schedules
         elapsed = time.perf_counter() - t0
         notes["schedules"] = "+".join(str(k) for k in ks) + " steps"
         notes["runtime_s"] = f"{elapsed:.2f}"
         assert elapsed < 60.0
+
+
+def test_c9_steps_verify_at_old_sample_fractions(nested_instances, equilateral,
+                                                session_times):
+    """Differential check of the exact step check on the criterion 09 steps:
+    each accepted step also verifies at the nine fractions the sampled
+    check used.  Every 8th step of each schedule keeps the cost near one
+    verify per step."""
+    schedules = session_times.get("c9_schedules")
+    if schedules is None:
+        schedules = [(name, discretize_morph(m))
+                     for name, m in _c9_morphs(nested_instances, equilateral)]
+    for name, schedule in schedules:
+        cps = schedule.checkpoints
+        for j in range(0, schedule.k, 8):
+            (_, a), (_, b) = cps[j], cps[j + 1]
+            for s in range(1, 10):
+                d = Drawing(a.graph, (1.0 - s / 10) * a.coords + s / 10 * b.coords)
+                assert verify_planar_straight_line(d)[0], (name, j, s)
 
 
 def test_criterion_10_curve_length_diagnostic(capsys, nested_instances,

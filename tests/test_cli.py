@@ -99,6 +99,20 @@ def test_morph_outer_mismatch_is_exit_3(k4_file, tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err.lower()
 
 
+def test_morph_negative_samples_is_exit_2(k4_file, tmp_path, capsys):
+    drawing = tmp_path / "k4.drawing"
+    assert main(["draw", k4_file, "-o", str(drawing)]) == 0
+    assert main(["morph", k4_file, str(drawing), str(drawing),
+                 "--samples", "-5"]) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_draw_non_finite_triangle_is_exit_3(k4_file, capsys):
+    assert main(["draw", k4_file, "--triangle",
+                 "0", "0", "1", "0", "0.5", "nan"]) == 3
+    assert "DegenerateTriangle" in capsys.readouterr().err
+
+
 def test_morph_midpoint_drawing(tmp_path, capsys):
     inst = nested_triangles(9)
     graph = tmp_path / "nested.graph"
@@ -182,3 +196,10 @@ def test_validate_self_check(capsys):
                  "--count", "3"]) == 0
     out = capsys.readouterr().out
     assert "self-check ok: 3 stacked triangulations" in out
+
+
+def test_validate_negative_count_is_exit_2(capsys):
+    assert main(["validate", "--random-stacked", "10", "--count", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--count" in captured.err
+    assert "self-check ok" not in captured.out

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from barymorph import (
     CoefficientMatrix,
@@ -13,13 +12,11 @@ from barymorph import (
     f_drawing,
     log_resolution_floor,
     nested_triangles,
-    random_stacked_triangulation,
     residual,
     separated_object_extremes,
     t_drawing,
     uniform_coefficients,
 )
-from barymorph import embedder
 from barymorph.errors import ResidualTooLarge, SingularSystem, SolverError
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -131,26 +128,6 @@ def test_residual_detects_displacement(k4, equilateral):
     coords = d.coords.copy()
     coords[3] += (0.1 * D, 0.0)
     assert residual(Drawing(k4, coords), m) > 1e-6
-
-
-@pytest.mark.parametrize("name", ["stacked", "nested"])
-def test_iterative_solve_matches_dense(monkeypatch, equilateral, name):
-    if name == "stacked":
-        g, tri = random_stacked_triangulation(30, seed=1), equilateral
-    else:
-        inst = nested_triangles(12)
-        g, tri = inst.graph, inst.outer
-    m = uniform_coefficients(g)
-    dense = f_drawing(g, m, tri)
-    calls = []
-    bicgstab = scipy.sparse.linalg.bicgstab
-    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab",
-                        lambda *a, **k: calls.append(1) or bicgstab(*a, **k))
-    monkeypatch.setattr(embedder, "DENSE_LIMIT", 2)  # every system goes iterative
-    iterative = f_drawing(g, m, tri)
-    assert len(calls) == 2  # one solve per coordinate
-    diameter = max(tri.side_lengths())
-    assert np.abs(iterative.coords - dense.coords).max() <= 1e-10 * diameter
 
 
 def test_singular_system_detected(k4, equilateral):

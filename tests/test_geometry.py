@@ -111,10 +111,19 @@ def _reference_drawings(equilateral):
     yield "chain9", f_drawing(chain.graph, chain.matrix, chain.outer, validate=False)
 
 
+def _ids(payload):
+    """Vertex ids in a violation payload or witness, tuples flattened."""
+    if isinstance(payload, tuple):
+        return [i for part in payload for i in _ids(part)]
+    return [] if isinstance(payload, str) else [payload]
+
+
 def test_extremes_equal_pairwise_reference(equilateral):
     for name, d in _reference_drawings(equilateral):
         rep = separated_object_extremes(d)
         assert (rep.min_dist, rep.max_dist) == _extremes_by_loops(d), name
+        witness_ids = _ids(rep.min_witness) + _ids(rep.max_witness)
+        assert all(type(i) is int for i in witness_ids), name
 
 
 # --- triangles -----------------------------------------------------------
@@ -139,6 +148,9 @@ def test_triangle_orientation_guard():
         Triangle(points=np.array([[0, 0], [0, 1], [1, 0]], dtype=float))
     with pytest.raises(DegenerateTriangle, match="collinear"):
         Triangle(points=np.array([[0, 0], [1, 1], [2, 2]], dtype=float))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DegenerateTriangle, match="non-finite"):
+            Triangle(points=np.array([[0, 0], [1, 0], [0.5, bad]]))
 
 
 def test_triangle_extent_equilateral(equilateral):
@@ -274,6 +286,7 @@ def test_verify_violation_lists(stacked6, vertex, position, expected):
     ok, violations = verify_planar_straight_line(Drawing(stacked6, coords))
     assert not ok
     assert violations == expected
+    assert all(type(i) is int for _, payload in violations for i in _ids(payload))
 
 
 def test_verify_violation_list_mirrored(stacked6):

@@ -5,7 +5,9 @@ import pytest
 
 from barymorph import (
     CoefficientMatrix,
+    Drawing,
     MorphSchedule,
+    build_maximal_plane_graph,
     discretize_morph,
     f_drawing,
     fg_curve_length_estimate,
@@ -18,12 +20,14 @@ from barymorph import (
     nested_triangles,
     parse_schedule,
     format_schedule,
+    geometric_eps,
     random_stacked_triangulation,
     recover_coefficients,
     separated_object_extremes,
     triangle_resolution,
     uniform_coefficients,
     validate_schedule,
+    verify_planar_straight_line,
 )
 from barymorph.errors import (
     GraphMismatch,
@@ -31,8 +35,18 @@ from barymorph.errors import (
     ParameterOutOfRange,
     ParseError,
     StepStalled,
+    ValidationError,
 )
-from barymorph.morph import _MorphSolver
+from barymorph.morph import _MorphSolver, _check_linear_step
+
+
+def _random_coefficients(g, rng):
+    weights = {}
+    for v in g.internal_vertices:
+        nb = list(g.neighbors(v))
+        raw = rng.uniform(0.1, 1.0, len(nb))
+        weights[v] = dict(zip(nb, (raw / raw.sum()).tolist()))
+    return CoefficientMatrix(g, weights)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +149,112 @@ def test_discretize_min_step_range(k4_morph):
     for bad in (0.0, 1.5):
         with pytest.raises(ParameterOutOfRange):
             discretize_morph(k4_morph, min_step=bad)
+
+
+# --- the exact check of a linear step -------------------------------------
+
+OLD_SAMPLE_FRACTIONS = [s / 10 for s in range(1, 10)]
+STEP_MARGIN = 2.0 * math.sqrt(2.0)  # doubled-area threshold over eps * scale^2
+
+
+def _verifies_at(a, b, fractions):
+    return all(verify_planar_straight_line(
+        Drawing(a.graph, (1.0 - s) * a.coords + s * b.coords))[0] for s in fractions)
+
+
+def _step_accepted(a, b):
+    try:
+        _check_linear_step(a.graph, a, b, "[0, 1]")
+    except ValidationError:
+        return False
+    return True
+
+
+def test_linear_step_crossing_between_samples_rejected():
+    g = build_maximal_plane_graph([(0, 1, 3), (0, 3, 2), (1, 2, 4), (2, 3, 4),
+                                   (3, 1, 4)], (0, 1, 2))
+    tri = [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]
+    a = Drawing(g, tri + [[0.545455, 0.314918], [0.681818, 0.393648]])
+    b = Drawing(g, tri + [[0.798297, 0.282784], [0.558332, 0.752391]])
+    # both ends and all nine old sample fractions verify ...
+    assert _verifies_at(a, b, [0.0, 1.0] + OLD_SAMPLE_FRACTIONS)
+    # ... yet edges (1, 4) and (2, 3) cross in between
+    _, violations = verify_planar_straight_line(
+        Drawing(g, 0.05 * a.coords + 0.95 * b.coords))
+    assert ("edge_crossing", ((1, 4), (2, 3))) in violations
+    with pytest.raises(ValidationError,
+                       match=r"linear step \[0, 1\]: face \(2, 3, 4\)"):
+        _check_linear_step(g, a, b, "[0, 1]")
+
+
+def test_linear_step_check_never_accepts_what_verify_rejects(equilateral):
+    # Seeded random Tutte-to-Tutte steps: two random convex-combination
+    # drawings of one stacked triangulation, joined by one straight step.
+    rng = np.random.default_rng(20031)
+    outcomes = set()
+    for _ in range(60):
+        g = random_stacked_triangulation(int(rng.integers(5, 25)), rng=rng)
+        a, b = (f_drawing(g, _random_coefficients(g, rng), equilateral)
+                for _ in range(2))
+        accepted = _step_accepted(a, b)
+        outcomes.add(accepted)
+        if accepted:
+            assert _verifies_at(a, b, OLD_SAMPLE_FRACTIONS)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_linear_step_margin_at_eps_scale(scale):
+    # K4 whose outer edge (0, 2) is the diagonal of [-scale, scale]^2, the
+    # longest segment a drawing of that scale holds.  Vertex 3 slides along
+    # it at height h, so face (0, 3, 2) keeps doubled area 2 sqrt(2) scale h
+    # all along the step; vertex_on_edge fires once h <= eps * scale.
+    g = build_maximal_plane_graph([(0, 1, 3), (1, 2, 3), (0, 3, 2)], (0, 1, 2))
+    eps = geometric_eps()
+    along = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    normal = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    corners = scale * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]])
+    for factor in (0.5, 0.9, 1.01, 1.1, 2.0, 10.0):
+        h = factor * eps * scale
+        a, b = (Drawing(g, np.vstack([corners, [scale * 0.3 * side * along
+                                                  + h * normal]]))
+                for side in (-1.0, 1.0))
+        accepted = _step_accepted(a, b)
+        assert accepted == (factor > 1.0), factor
+        # the threshold is tight: just below it the verifier rejects too
+        assert _verifies_at(a, b, OLD_SAMPLE_FRACTIONS) == accepted, factor
+
+
+def test_linear_step_eps_perturbations_of_random_drawings(equilateral):
+    # Push one vertex of a face to doubled area factor * 2 sqrt(2) eps S^2
+    # over its opposite edge and slide it parallel to that edge.
+    rng = np.random.default_rng(52003)
+    eps = geometric_eps()
+    accepted_count = 0
+    for _ in range(40):
+        g = random_stacked_triangulation(int(rng.integers(5, 25)), rng=rng)
+        d = f_drawing(g, _random_coefficients(g, rng), equilateral)
+        face = g.faces[int(rng.integers(len(g.faces)))]
+        corner = int(rng.integers(3))
+        v, p, q = face[corner], face[(corner + 1) % 3], face[(corner + 2) % 3]
+        if v in g.outer_cycle:
+            continue
+        edge = d.coords[q] - d.coords[p]
+        length = float(np.hypot(*edge))
+        unit = edge / length
+        normal = np.array([-unit[1], unit[0]])  # towards v in a ccw face
+        foot = d.coords[p] + (d.coords[v] - d.coords[p]) @ unit * unit
+        for factor in (0.5, 1.01, 1.5, 4.0):
+            h = factor * STEP_MARGIN * eps * d.scale ** 2 / length
+            ends = []
+            for side in (-1.0, 1.0):
+                coords = d.coords.copy()
+                coords[v] = foot + h * normal + side * 1e-3 * length * unit
+                ends.append(Drawing(g, coords))
+            if _step_accepted(*ends):
+                accepted_count += 1
+                assert _verifies_at(*ends, OLD_SAMPLE_FRACTIONS), (face, factor)
+    assert accepted_count > 0
 
 
 def test_schedule_roundtrip(k4_morph):
