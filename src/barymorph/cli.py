@@ -32,6 +32,7 @@ from .coefficients import (
 )
 from .embedder import f_drawing, log_resolution_floor, residual
 from .errors import (
+    BarymorphError,
     OuterMismatch,
     ParameterOutOfRange,
     ParseError,
@@ -43,13 +44,12 @@ from .families import eades_garvan, eg_chain_oracle, nested_triangles, \
 from .geometry import (
     Drawing,
     Triangle,
-    _face_pairs,
+    _face_pair_distances,
     _require_planar,
     emit_svg,
     format_drawing,
     load_drawing,
     outer_triangle,
-    point_segment_distance,
     separated_object_extremes,
     triangle_resolution,
 )
@@ -217,7 +217,7 @@ def _eg_row(n, lam, r):
     oracle = eg_chain_oracle(n, lam, r)
     rel = float(np.max(np.abs(xs - oracle) / np.abs(oracle)))
     if rel > 1e-10:
-        raise ValidationError(f"n={n}: chain x-coordinates deviate from the "
+        raise ValidationError("chain x-coordinates deviate from the "
                               f"tridiagonal oracle by {rel:.3g} relative")
     rep = separated_object_extremes(d)
     lam_min = inst.matrix.min_lambda()
@@ -255,12 +255,18 @@ def _nested_ceiling(inst, d_half):
     """
     if inst.k < 3:
         return None
-    ring2 = inst.rings[1]
-    coords = d_half.coords
-    best = min(point_segment_distance(coords[v], (coords[a], coords[b]))
-               for v, (a, b) in _face_pairs(inst.graph) if v in ring2)
+    vertices, _, dist = _face_pair_distances(d_half)
+    best = dist[np.isin(vertices, inst.rings[1])].min()
     diameter = max(inst.outer.side_lengths())
     return math.log(best / diameter)
+
+
+def _named_row(worker, n):
+    """worker(n), naming the row in the message of any error it raises."""
+    try:
+        return worker(n)
+    except BarymorphError as exc:
+        raise type(exc)(f"n={n}: {exc}") from exc
 
 
 def _format_row(row):
@@ -292,7 +298,7 @@ def cmd_decay(args):
         worker = _nested_row
     jobs = args.jobs or min(8, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(worker, ns))
+        results = list(pool.map(lambda n: _named_row(worker, n), ns))
     rows = [row for row, _ in results]
     for (row, runtime), n in zip(results, ns):
         _log(f"decay: n={n} runtime_ms={runtime:.3f}")

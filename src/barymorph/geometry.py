@@ -114,21 +114,24 @@ class FaceWitness:
 def point_segment_distance(point, segment):
     """Euclidean distance from a point to a closed segment ((a), (b))."""
     a, b = (np.asarray(segment[0], dtype=float), np.asarray(segment[1], dtype=float))
-    return float(_points_segment_distance(np.asarray(point, dtype=float)[None, :], a, b)[0])
+    return float(_segment_distances(np.asarray(point, dtype=float), a, b))
 
 
-def _points_segment_distance(points, a, b):
+def _segment_distances(p, a, b):
+    """Distances from points p to closed segments ab, elementwise over
+    broadcast (..., 2) arrays; t = 0 where the squared length underflows
+    to 0, as on collapsed chains."""
     # elementwise arithmetic throughout: BLAS dot products may round
-    # differently for one row than for many, and the fast witness path
-    # must reproduce the brute-force values bit for bit
+    # differently for one row than for many, and the face-local paths
+    # must reproduce the pairwise values bit for bit
     ab = b - a
-    denom = float(ab[0] * ab[0] + ab[1] * ab[1])
-    rel = points - a
-    if denom == 0.0:
-        return np.hypot(rel[:, 0], rel[:, 1])
-    t = np.clip((rel[:, 0] * ab[0] + rel[:, 1] * ab[1]) / denom, 0.0, 1.0)
-    return np.hypot(points[:, 0] - (a[0] + t * ab[0]),
-                    points[:, 1] - (a[1] + t * ab[1]))
+    rel = p - a
+    denom = ab[..., 0] * ab[..., 0] + ab[..., 1] * ab[..., 1]
+    num = rel[..., 0] * ab[..., 0] + rel[..., 1] * ab[..., 1]
+    t = np.clip(np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0),
+                0.0, 1.0)
+    return np.hypot(p[..., 0] - (a[..., 0] + t * ab[..., 0]),
+                    p[..., 1] - (a[..., 1] + t * ab[..., 1]))
 
 
 def _separated_pairs(d):
@@ -151,7 +154,7 @@ def _separated_pairs(d):
 
     D_ve = np.empty((n, m))
     for j, (a, b) in enumerate(E):
-        D_ve[:, j] = _points_segment_distance(coords, coords[a], coords[b])
+        D_ve[:, j] = _segment_distances(coords, coords[a], coords[b])
     ve_mask = np.ones((n, m), dtype=bool)
     cols = np.arange(m)
     ve_mask[E[:, 0], cols] = False
@@ -166,30 +169,74 @@ def _separated_pairs(d):
     return E, vv, D_ve, vv_mask, ve_mask, ee_mask
 
 
-def _face_pairs(g):
-    """(vertex, opposite edge) for each corner of each internal face.
+def _face_pair_distances(d):
+    """Distance from each internal-face corner to its opposite edge.
 
-    The edge comes in stored (min, max) order, so a distance computed
-    from it equals the brute-force value bit for bit.
+    Returns (vertices, edges, dist) over the 3(2n-5) pairs, face-major
+    and corner-minor: a corner, its opposite edge as (min, max) ids in
+    stored order, and their distance, which equals the pairwise table
+    entry of _separated_pairs bit for bit.
     """
-    for tri in g.faces:
-        for i in range(3):
-            a, b = tri[(i + 1) % 3], tri[(i + 2) % 3]
-            yield tri[i], (min(a, b), max(a, b))
+    faces = np.array(d.graph.faces, dtype=int).reshape(-1, 3)
+    vertices = faces.ravel()
+    a, b = np.roll(faces, -1, axis=1).ravel(), np.roll(faces, -2, axis=1).ravel()
+    edges = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
+    c = d.coords
+    return vertices, edges, _segment_distances(c[vertices], c[edges[:, 0]], c[edges[:, 1]])
 
 
 def separated_object_extremes(d):
     """Min and max distance over separated object pairs, with witnesses.
 
-    Brute force over all vertex/vertex, vertex/edge and edge/edge pairs;
-    O((n+m)^2) but fully vectorized.  Distances between non-adjacent
-    edges assume the drawing is planar (segments do not cross), which
-    callers are expected to have verified.
+    When every internal face and the outer triangle have positive
+    computed doubled area (the sign test f_drawing enforces; no epsilon,
+    as decay drawings lie legitimately below it) the drawing is planar
+    (Floater, Math. Comp. 72, 2003) and both extremes are face-local,
+    O(n): the minimum is the least face-pair distance of
+    _face_pair_distances (the face lemma of
+    min_distance_internal_face_witness), or an edge length if that is
+    no larger, and the maximum is the longest outer side, as every other
+    vertex is strictly inside the outer triangle.  Witnesses follow the
+    brute-force scan order: vertex/vertex wins an exact tie, then the
+    smallest (vertex, index in graph.edges), and the first outer side of
+    the longest length.  Other drawings take the brute force over all
+    pairs, _extremes_by_pairs, which is also the test oracle.
 
     Exactly coincident vertices are an error (resolution would be 0);
     arbitrarily small positive separations are measured faithfully, as
     the adversarial families drive them below any fixed epsilon.
     """
+    g, coords = d.graph, d.coords
+    if not np.all(_doubled_areas(coords[list(g.faces) + [g.outer_cycle]]) > 0.0):
+        return _extremes_by_pairs(d)
+    E = np.array(g.edges, dtype=int).reshape(-1, 2)
+    lengths = np.hypot(*(coords[E[:, 0]] - coords[E[:, 1]]).T)
+    pair = lambda j: (("vertex", g.edges[j][0]), ("vertex", g.edges[j][1]))
+
+    vertices, edges, dist = _face_pair_distances(d)
+    delta = dist.min()
+    j = int(np.argmin(lengths))
+    if lengths[j] <= delta:
+        min_dist, min_witness = float(lengths[j]), pair(j)
+    else:
+        n, m = g.vertex_count, len(E)
+        index = np.searchsorted(E[:, 0] * n + E[:, 1], edges[:, 0] * n + edges[:, 1])
+        v, j = divmod(int((vertices * m + index)[dist == delta].min()), m)
+        min_dist, min_witness = float(delta), (("vertex", v), ("edge", g.edges[j]))
+
+    outer = np.flatnonzero(np.isin(E, g.outer_cycle).all(axis=1))
+    j = int(outer[np.argmax(lengths[outer])])
+    max_dist = float(lengths[j])
+    return ResolutionReport(min_dist=min_dist, max_dist=max_dist,
+                            resolution=min_dist / max_dist,
+                            min_witness=min_witness, max_witness=pair(j))
+
+
+def _extremes_by_pairs(d):
+    """separated_object_extremes by brute force over all vertex/vertex,
+    vertex/edge and edge/edge pairs, O((n+m)^2) but fully vectorized.
+    Distances between non-adjacent edges assume the drawing is planar
+    (segments do not cross)."""
     E, vv, D_ve, vv_mask, ve_mask, ee_mask = _separated_pairs(d)
     edges = d.graph.edges
     iu, ju = np.nonzero(vv_mask & (vv == 0.0))
@@ -230,20 +277,18 @@ def separated_object_extremes(d):
 def min_distance_internal_face_witness(d):
     """Fast path for the minimum separated distance.
 
-    The global minimum is always attained by a vertex and the opposite
-    edge of a common internal face, so scanning the 3(2n-5) face pairs
-    suffices.  Returns the witness; its distance equals the brute-force
-    minimum of separated_object_extremes exactly (same evaluation).
+    The global minimum over separated pairs is always attained by a
+    vertex and the opposite edge of a common internal face, so the
+    3(2n-5) face pairs of _face_pair_distances suffice.  Returns the
+    first pair, in face order, at their minimum; its distance equals the
+    brute-force minimum of _extremes_by_pairs exactly (same evaluation).
     """
-    coords = d.coords
-    best = None
-    for v, (a, b) in _face_pairs(d.graph):
-        dist = point_segment_distance(coords[v], (coords[a], coords[b]))
-        if best is None or dist < best.distance:
-            best = FaceWitness(vertex=v, edge=(a, b), distance=dist)
-    if best is None:
+    vertices, edges, dist = _face_pair_distances(d)
+    if not dist.size:
         raise WitnessNotFound("graph has no internal faces")
-    return best
+    k = int(np.argmin(dist))
+    return FaceWitness(vertex=int(vertices[k]), edge=tuple(int(v) for v in edges[k]),
+                       distance=float(dist[k]))
 
 
 def apply_rigid_transform(d, rotation, translation):
@@ -320,8 +365,43 @@ def verify_planar_straight_line(d):
     from the face list, and the outer triangle is counter-clockwise with
     every other vertex strictly inside.  Returns (ok, violations) where
     violations is a list of (code, payload) pairs.  Tolerances scale
-    geometric_eps() by the drawing's coordinate magnitude.
+    geometric_eps() by the drawing's coordinate magnitude S = d.scale.
+
+    An O(n) certificate answers (True, []) first when every internal
+    face has doubled area > eps S^2, _outer_violations finds nothing and
+    the face-pair minimum delta of _face_pair_distances exceeds
+    K sqrt(eps) S with K = 2.  Why no code can then fire: the areas
+    clear their rounding error, so the drawing is planar with the given
+    embedding (Floater, Math. Comp. 72, 2003); there is no edge_crossing
+    and every separated distance is at least delta (the face lemma of
+    min_distance_internal_face_witness), far above the eps S of
+    coincident_vertices and vertex_on_edge.  zero_angle and edge_overlap
+    compare absolute cross products with eps S^2.  For neighbours u, w
+    of v with a positive dot product, angle theta and |u - v| <= |w - v|,
+    the foot of u on the line vw lies on the edge vw, so |u - v| sin theta
+    is the distance of the separated pair (u, vw), at least delta, and
+    |cross| = |w - v| |u - v| sin theta >= delta^2.  Collinear edges whose
+    projections overlap put an endpoint of one over the other at
+    distance |cross| / length <= eps S^2 / delta.  Both codes thus need
+    delta <= sqrt(eps) S, i.e. K = 1; K = 2 leaves a factor 4 on delta^2
+    for rounding.  The same bound keeps neighbour directions eps / 2 rad
+    apart (|u - v|, |w - v| <= sqrt(8) S), far above the rounding of
+    arctan2, so rotation_mismatch cannot fire either.  Every other
+    drawing gets the full pairwise check, _verify_by_pairs, unchanged.
     """
+    eps = geometric_eps()
+    scale = d.scale
+    eps_area = eps * scale * scale
+    if np.all(_doubled_areas(d.coords[list(d.graph.faces)]) > eps_area) \
+            and not _outer_violations(d, eps_area) \
+            and _face_pair_distances(d)[2].min() > 2.0 * math.sqrt(eps) * scale:
+        return True, []
+    return _verify_by_pairs(d)
+
+
+def _verify_by_pairs(d):
+    """The full verifier over all separated pairs, O(m^2); the fallback
+    of verify_planar_straight_line and its test oracle."""
     eps = geometric_eps()
     g, coords = d.graph, d.coords
     n = g.vertex_count
@@ -386,19 +466,23 @@ def verify_planar_straight_line(d):
         if tuple(order[i0:] + order[:i0]) != rot:
             violations.append(("rotation_mismatch", v))
 
+    violations += _outer_violations(d, eps_area)
+    return (not violations), violations
+
+
+def _outer_violations(d, eps_area):
+    """outer_not_ccw, or else outside_outer_face for every other vertex
+    not strictly inside the outer triangle."""
+    g, coords = d.graph, d.coords
     a, b, c = g.outer_cycle
     if _cross(coords[b] - coords[a], coords[c] - coords[a]) <= eps_area:
-        violations.append(("outer_not_ccw", (a, b, c)))
-    else:
-        inner = [v for v in range(n) if v not in (a, b, c)]
-        pts = coords[inner]
-        inside = np.ones(len(inner), dtype=bool)
-        for s, t in ((a, b), (b, c), (c, a)):
-            inside &= _cross(coords[t] - coords[s], pts - coords[s]) > eps_area
-        for k in np.nonzero(~inside)[0]:
-            violations.append(("outside_outer_face", inner[k]))
-
-    return (not violations), violations
+        return [("outer_not_ccw", (a, b, c))]
+    inner = [v for v in range(g.vertex_count) if v not in (a, b, c)]
+    pts = coords[inner]
+    inside = np.ones(len(inner), dtype=bool)
+    for s, t in ((a, b), (b, c), (c, a)):
+        inside &= _cross(coords[t] - coords[s], pts - coords[s]) > eps_area
+    return [("outside_outer_face", inner[k]) for k in np.nonzero(~inside)[0]]
 
 
 def _require_planar(d, label):

@@ -27,6 +27,7 @@ from barymorph import (
     min_distance_internal_face_witness,
     morph_at,
     outer_triangle,
+    point_segment_distance,
     random_stacked_triangulation,
     recover_coefficients,
     residual,
@@ -39,6 +40,7 @@ from barymorph import (
     validate_schedule,
     verify_planar_straight_line,
 )
+from barymorph.geometry import _extremes_by_pairs
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -194,13 +196,30 @@ def test_criterion_05_rigid_equivariance(capsys, solve_corpus):
         notes["max_dev_over_D"] = f"{worst:.2e}"
 
 
+def _first_face_minimum(d):
+    """(distance, vertex, edge) of the first internal-face corner, in face
+    order, at the least distance to its opposite edge: a plain scan."""
+    best = None
+    for tri in d.graph.faces:
+        for i in range(3):
+            a, b = sorted((tri[(i + 1) % 3], tri[(i + 2) % 3]))
+            dist = point_segment_distance(d.coords[tri[i]], (d.coords[a], d.coords[b]))
+            if best is None or dist < best[0]:
+                best = (dist, tri[i], (a, b))
+    return best
+
+
 def test_criterion_06_face_witness_equals_brute_force(capsys, drawing_corpus):
     with criterion(capsys, 6,
                    "face-scan min distance equals brute force exactly") as notes:
         for case in drawing_corpus:
-            rep = separated_object_extremes(case.drawing)
+            # the pairwise fallback, not separated_object_extremes, which
+            # reads the same face-pair distances as the witness
+            rep = _extremes_by_pairs(case.drawing)
             w = min_distance_internal_face_witness(case.drawing)
             assert w.distance == rep.min_dist, case.name
+            assert (w.distance, w.vertex, w.edge) \
+                == _first_face_minimum(case.drawing), case.name
         notes["drawings"] = len(drawing_corpus)
 
 

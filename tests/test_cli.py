@@ -170,6 +170,17 @@ def test_decay_negative_jobs_is_exit_2(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, row", [
+    (["--family", "nested", "--n-range", "129:138:3"], "n=132: "),
+    (["--family", "eg", "--n-range", "398:404:3", "--lambda", "0.15"], "n=401: "),
+], ids=["nested", "eg"])
+def test_decay_failing_row_is_named(capsys, argv, row):
+    # both rows reach the float64 floor: a face of the drawing flips
+    assert main(["decay", *argv, "--jobs", "2"]) == 4
+    err = capsys.readouterr().err
+    assert f"solver error (SolverError): {row}internal face" in err
+
+
 def test_decay_lambda_out_of_range_is_exit_3(capsys):
     assert main(["decay", "--family", "eg", "--n-range", "7:9",
                  "--lambda", "0.4"]) == 3

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from barymorph import (
     Drawing,
@@ -11,19 +12,23 @@ from barymorph import (
     eades_garvan,
     f_drawing,
     emit_svg,
+    fg_morph,
     format_drawing,
     min_distance_internal_face_witness,
+    morph_at,
     nested_triangles,
     outer_triangle,
     parse_drawing,
     point_segment_distance,
     random_stacked_triangulation,
+    recover_coefficients,
     separated_object_extremes,
     t_drawing,
     triangle_extent_check,
     triangle_resolution,
     verify_planar_straight_line,
 )
+from barymorph.geometry import _extremes_by_pairs, _verify_by_pairs
 from barymorph.errors import (
     DegenerateDrawing,
     DegenerateTriangle,
@@ -120,10 +125,78 @@ def _ids(payload):
 
 def test_extremes_equal_pairwise_reference(equilateral):
     for name, d in _reference_drawings(equilateral):
-        rep = separated_object_extremes(d)
-        assert (rep.min_dist, rep.max_dist) == _extremes_by_loops(d), name
-        witness_ids = _ids(rep.min_witness) + _ids(rep.max_witness)
-        assert all(type(i) is int for i in witness_ids), name
+        reference = _extremes_by_loops(d)
+        for rep in (separated_object_extremes(d), _extremes_by_pairs(d)):
+            assert (rep.min_dist, rep.max_dist) == reference, name
+            witness_ids = _ids(rep.min_witness) + _ids(rep.max_witness)
+            assert all(type(i) is int for i in witness_ids), name
+
+
+def _delaunay_drawing(seed, n, equilateral):
+    """Delaunay triangulation of the outer corners and n - 3 seeded
+    points inside, drawn at the points themselves."""
+    rng = np.random.default_rng(seed)
+    corners = equilateral.points
+    u = rng.random((n - 3, 2))
+    flip = u.sum(axis=1) > 1.0
+    u[flip] = 1.0 - u[flip]
+    pts = np.vstack([corners, corners[0] + u @ (corners[1:] - corners[0])])
+    faces = [(a, b, c) if _ccw(pts, a, b, c) else (a, c, b)
+             for a, b, c in Delaunay(pts).simplices.tolist()]
+    return Drawing(build_maximal_plane_graph(faces, (0, 1, 2)), pts)
+
+
+def _ccw(pts, a, b, c):
+    (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
+
+
+def _nested_halfway(n):
+    inst = nested_triangles(n)
+    m0, _ = recover_coefficients(inst.gamma0)
+    m1, _ = recover_coefficients(inst.gamma1)
+    return morph_at(fg_morph(inst.graph, m0, m1, inst.outer, validate=False), 0.5)
+
+
+def test_extremes_face_path_equals_brute_force(drawing_corpus, equilateral):
+    """The face-local path reports exactly what the pairwise fallback
+    does, witnesses included, on the corpus, eg rows to n=520, nested
+    halfway drawings 6-117 and seeded Delaunay meshes."""
+    cases = [(c.name, c.drawing) for c in drawing_corpus]
+    for n in list(range(7, 521, 37)) + [520]:
+        inst = eades_garvan(n, 0.25, SQRT3_2)
+        cases.append((f"eg{n}", f_drawing(inst.graph, inst.matrix, inst.outer,
+                                          validate=False)))
+    cases += [(f"nested_half{n}", _nested_halfway(n)) for n in range(6, 118, 3)]
+    cases += [(f"delaunay{seed}", _delaunay_drawing(seed, n, equilateral))
+              for seed, n in enumerate((20, 60, 150, 300, 450))]
+    for name, d in cases:
+        assert separated_object_extremes(d) == _extremes_by_pairs(d), name
+
+
+# The short edge (3, 4), of length 1e-9, borders two thin faces obtuse by
+# about 1e-9 rad at 3 and at 4: two face pairs reach their minimum at an
+# endpoint of the edge and two round to it, all equal to its length.
+THIN_FACES = [(4, 3, 5), (3, 4, 6), (6, 0, 3), (3, 0, 1), (3, 1, 5),
+              (5, 1, 2), (5, 2, 4), (4, 2, 6), (6, 2, 0)]
+THIN_COORDS = [(-10, -10), (10, -10), (0, 10), (0, 0), (0, 1e-9),
+               (1, -1e-9), (-1, 2e-9)]
+
+
+def test_extremes_tie_rules():
+    # equal outer sides (0, 1) and (0, 2): the lower pair is the witness
+    k4 = build_maximal_plane_graph([(0, 1, 3), (1, 2, 3), (0, 3, 2)], (0, 1, 2))
+    d = Drawing(k4, [(2, 10), (0, 0), (4, 0), (2, 3)])
+    rep = separated_object_extremes(d)
+    assert rep == _extremes_by_pairs(d)
+    assert rep.max_witness == (("vertex", 0), ("vertex", 1))
+    # vertex/vertex wins an exact tie with a vertex/edge pair
+    d = Drawing(build_maximal_plane_graph(THIN_FACES, (0, 1, 2)), THIN_COORDS)
+    rep = separated_object_extremes(d)
+    assert rep == _extremes_by_pairs(d)
+    assert rep.min_dist == 1e-9
+    assert rep.min_witness == (("vertex", 3), ("vertex", 4))
+    assert rep.max_witness == (("vertex", 0), ("vertex", 2))
 
 
 # --- triangles -----------------------------------------------------------
@@ -298,12 +371,82 @@ def test_verify_violation_list_mirrored(stacked6):
         + [("outer_not_ccw", (0, 1, 2))]
 
 
+def _fuzzed(drawing_corpus, count, seed):
+    """Near-degenerate copies of corpus drawings: one vertex jittered at
+    eps scale, pulled next to a neighbour, next to or across an opposite
+    edge, or two neighbours put on a line."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = drawing_corpus[int(rng.integers(len(drawing_corpus)))].drawing
+        g, c = d.graph, d.coords.copy()
+        v = int(rng.integers(g.vertex_count))
+        tri = next(f for f in g.faces if v in f)
+        a, b = (w for w in tri if w != v)
+        step = 10.0 ** rng.uniform(-15, -4) * d.scale * rng.normal(size=2)
+        kind = i % 5
+        if kind == 0:
+            c[v] += step
+        elif kind == 1:
+            c[v] = c[a] + step
+        elif kind == 2:
+            c[v] = c[a] + rng.uniform(-0.2, 1.2) * (c[b] - c[a]) + step
+        elif kind == 3:  # reflect across the opposite edge, or short of it
+            foot = c[a] + (c[b] - c[a]) * ((c[v] - c[a]) @ (c[b] - c[a])) \
+                / ((c[b] - c[a]) @ (c[b] - c[a]))
+            c[v] = foot + (foot - c[v]) * rng.uniform(-0.5, 1.0)
+        else:
+            c[a] = c[v] + rng.uniform(0.1, 0.9) * (c[b] - c[v]) + step
+        yield f"fuzz{i}", Drawing(g, c)
+
+
+@pytest.mark.parametrize("eps", [None, "1e-8"], ids=["default_eps", "eps_1e-8"])
+def test_verify_certificate_never_accepts_what_pairs_reject(
+        monkeypatch, drawing_corpus, eps):
+    if eps is not None:
+        monkeypatch.setenv("BARYMORPH_EPS", eps)
+    cases = [(c.name, c.drawing) for c in drawing_corpus]
+    cases += list(_fuzzed(drawing_corpus, 200, 31337))
+    rejected = 0
+    for name, d in cases:
+        full = _verify_by_pairs(d)
+        assert verify_planar_straight_line(d) == full, name
+        rejected += not full[0]
+    # with the fallback stubbed out, only the certificate can accept
+    monkeypatch.setattr("barymorph.geometry._verify_by_pairs", lambda d: (False, []))
+    certified = sum(verify_planar_straight_line(d)[0] for _, d in cases)
+    assert certified > 0 and rejected > 0, (certified, rejected)
+
+
+def _near_pair(r):
+    """STACKED6's graph on the equilateral triangle with vertices 4 and 5
+    at distance r from vertex 3, 1 rad apart, either side of edge (1, 3)."""
+    coords = np.array([[0, 0], [1, 0], [0.5, SQRT3_2], [0.5, 0.3], [0, 0], [0, 0]])
+    toward_1 = math.atan2(-0.3, 0.5)
+    for v, angle in ((4, toward_1 - 0.5), (5, toward_1 + 0.5)):
+        coords[v] = coords[3] + r * np.array([math.cos(angle), math.sin(angle)])
+    return Drawing(build_maximal_plane_graph(STACKED6_FACES, (0, 1, 2)), coords)
+
+
+def test_verify_certificate_near_pair(monkeypatch):
+    # at r = 1e-6, |cross| = r^2 sin 1 is below eps: the certificate must
+    # leave the drawing to the pairwise check, which reports zero_angle
+    d = _near_pair(1e-6)
+    ok, violations = verify_planar_straight_line(d)
+    assert not ok and ("zero_angle", (3, 4, 5)) in violations
+    assert (ok, violations) == _verify_by_pairs(d)
+    # at r = 1e-5 the certificate itself accepts
+    d = _near_pair(1e-5)
+    assert _verify_by_pairs(d) == (True, [])
+    monkeypatch.setattr("barymorph.geometry._verify_by_pairs", None)
+    assert verify_planar_straight_line(d) == (True, [])
+
+
 # --- fast witness path ---------------------------------------------------
 
 def test_fast_witness_k4(k4, equilateral):
     d = t_drawing(k4, equilateral)
     w = min_distance_internal_face_witness(d)
-    rep = separated_object_extremes(d)
+    rep = _extremes_by_pairs(d)
     assert w.distance == rep.min_dist
     assert w.vertex == 3 or w.edge in {(0, 1), (1, 2), (0, 2)}
 
@@ -313,7 +456,7 @@ def test_fast_witness_chain_n7():
     inst = eades_garvan(7, 0.25, SQRT3_2)
     d = f_drawing(inst.graph, inst.matrix, inst.outer, validate=False)
     w = min_distance_internal_face_witness(d)
-    rep = separated_object_extremes(d)
+    rep = _extremes_by_pairs(d)
     assert w.distance == rep.min_dist
     # global min: last chain vertex against the edge between the two
     # off-axis anchors, at distance x(last)
