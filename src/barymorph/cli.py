@@ -23,10 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .coefficients import (
-    interpolate,
     load_coefficients,
     recover_coefficients,
-    save_coefficients,
     format_coefficients,
     uniform_coefficients,
 )
@@ -58,6 +56,7 @@ from .morph import (
     discretize_morph,
     fg_morph,
     format_schedule,
+    lambda_min_at,
     morph_at,
     morph_resolution_floor,
     save_schedule,
@@ -236,7 +235,7 @@ def _nested_row(n):
     m = fg_morph(inst.graph, m0, m1, inst.outer, validate=False)
     d_half = morph_at(m, 0.5)
     rep = separated_object_extremes(d_half)
-    lam_min = interpolate(m0, m1, 0.5).min_lambda()
+    lam_min = lambda_min_at(m, 0.5)
     r = triangle_resolution(inst.outer)
     measured = math.log(rep.resolution)
     floor = log_resolution_floor(n, lam_min, r)

@@ -71,6 +71,7 @@ def validate_coefficients(g, matrix):
     Checks support (positive weight exactly on incident edges of internal
     vertices), row sums within 1e-12 of 1, and the unavoidable upper
     bound on the smallest entry: <= 1/3 for n >= 4 and <= 1/4 for n >= 5.
+    NaN and infinite weights fail the support or the row-sum check.
     """
     violations = []
     if matrix.graph != g:
@@ -92,12 +93,15 @@ def validate_coefficients(g, matrix):
                 violations.append(("spurious_entry", (v, u)))
         for u in sorted(nbrs):
             w = row.get(u, 0.0)
-            if w <= 0.0:
+            if not w > 0.0:
                 violations.append(("nonpositive_entry", (v, u)))
             else:
                 entries.append(w)
-        s = math.fsum(row.values())
-        if abs(s - 1.0) > ROW_SUM_TOL:
+        try:
+            s = math.fsum(row.values())
+        except (OverflowError, ValueError):  # inf - inf, or a sum past float range
+            s = math.nan
+        if not abs(s - 1.0) <= ROW_SUM_TOL:
             violations.append(("row_sum", (v, s)))
     min_lambda = min(entries) if entries else math.nan
     bound = 1.0 / 3.0 if g.vertex_count == 4 else 0.25

@@ -3,8 +3,9 @@
 With the outer cycle pinned to a triangle, the conditions
 x(v) = sum_u lambda_vu x(u) over internal v form a nonsingular linear
 system: A has ones on the diagonal, -lambda_vu for internal neighbors,
-and the external terms move to the right-hand side.  A is factored once
-and reused for the x and y solves.
+and the external terms move to the right-hand side.  Every system, of
+one matrix or of a morph at t, is built by _assembler from weight arrays
+laid out by _entries.  A is factored once for the x and y solves.
 """
 
 import math
@@ -30,41 +31,58 @@ class BarycentricSystem:
     by: np.ndarray
 
 
+def _entries(g, matrix):
+    """The matrix as arrays: the sorted internal ids, and row, column and
+    weight of every entry, rows in id order, each in its dict order.  The
+    column is the neighbor's internal index, or -1 - k for the outer
+    vertex on corner k."""
+    internal = tuple(sorted(g.internal_vertices))
+    column = dict(zip(internal + g.outer_cycle, [*range(len(internal)), -1, -2, -3]))
+    entries = np.array([(i, column[u], w) for i, v in enumerate(internal)
+                        for u, w in matrix.weights[v].items()], dtype=float).reshape(-1, 3)
+    rows, cols = entries[:, :2].T.astype(np.intp)
+    return internal, rows, cols, entries[:, 2]
+
+
+def _assembler(g, triangle, internal, rows, cols):
+    """The build function weights -> system of one entry layout.  Internal
+    entries set A through precomputed flat indices; np.bincount adds the
+    external w * corner in entry order from 0.0, as a row loop would."""
+    N = len(internal)
+    inner, outer = cols >= 0, cols < 0
+    flat, outer_rows = rows[inner] * N + cols[inner], rows[outer]
+    cx, cy = triangle.points[-1 - cols[outer]].T.copy()
+
+    def build(w):
+        A = np.eye(N)
+        A.put(flat, -w[inner])
+        terms = w[outer]
+        return BarycentricSystem(g, triangle, internal, A,
+                                 np.bincount(outer_rows, terms * cx, N),
+                                 np.bincount(outer_rows, terms * cy, N))
+
+    return build
+
+
 def assemble_system(g, matrix, triangle, validate=True):
     """Build the interior system; corner i of the triangle pins the i-th
     outer-cycle vertex."""
     if validate:
         assert_valid(g, matrix)
-    internal = tuple(sorted(g.internal_vertices))
-    index = {v: i for i, v in enumerate(internal)}
-    corner = {v: triangle.points[i] for i, v in enumerate(g.outer_cycle)}
-    N = len(internal)
-    A = np.eye(N)
-    bx = np.zeros(N)
-    by = np.zeros(N)
-    for v in internal:
-        i = index[v]
-        for u, w in matrix.weights[v].items():
-            if u in index:
-                A[i, index[u]] = -w
-            else:
-                bx[i] += w * corner[u][0]
-                by[i] += w * corner[u][1]
-    return BarycentricSystem(graph=g, triangle=triangle, internal_ids=internal,
-                             A=A, bx=bx, by=by)
+    internal, rows, cols, weights = _entries(g, matrix)
+    return _assembler(g, triangle, internal, rows, cols)(weights)
 
 
 def _solve(system):
-    A, bx, by = system.A, system.bx, system.by
     try:
-        with np.errstate(all="ignore"):
-            lu, piv = scipy.linalg.lu_factor(A)
+        with np.errstate(all="ignore"):  # no input scan: lu and x, y are checked
+            lu, piv = scipy.linalg.lu_factor(system.A, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
     if not np.all(np.isfinite(lu)):
         raise SingularSystem("LU factorization produced non-finite entries")
-    x = scipy.linalg.lu_solve((lu, piv), bx)
-    y = scipy.linalg.lu_solve((lu, piv), by)
+    x = scipy.linalg.lu_solve((lu, piv), system.bx, check_finite=False)
+    y = scipy.linalg.lu_solve((lu, piv), system.by, check_finite=False)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise SingularSystem("solution contains non-finite entries")
     return x, y
@@ -96,7 +114,11 @@ def f_drawing(g, matrix, triangle, validate=True, check=True):
     face keeps positive orientation (cheap guards; full planarity
     verification is the caller's business).
     """
-    system = assemble_system(g, matrix, triangle, validate=validate)
+    return _drawing(assemble_system(g, matrix, triangle, validate=validate), check)
+
+
+def _drawing(system, check=True):
+    """Solve the system into a Drawing, with f_drawing's guards if check."""
     x, y = _solve(system)
     coords = _place(system, x, y)
     if check:
@@ -104,11 +126,11 @@ def f_drawing(g, matrix, triangle, validate=True, check=True):
         ry = _relative_residual(system.A, y, system.by)
         if max(rx, ry) > RESIDUAL_TOL:
             raise ResidualTooLarge(f"relative residual {max(rx, ry):.3e}")
-        areas = _doubled_areas(coords[list(g.faces)])
+        areas = _doubled_areas(coords[system.graph.face_array])
         if np.any(areas <= 0.0):
-            bad = g.faces[int(np.argmin(areas))]
+            bad = system.graph.faces[int(np.argmin(areas))]
             raise SolverError(f"internal face {bad} lost its orientation")
-    return Drawing(g, coords)
+    return Drawing(system.graph, coords)
 
 
 def t_drawing(g, triangle):
@@ -120,12 +142,10 @@ def residual(d, matrix):
     """Max violation of the fixpoint conditions, normalized by the drawing
     diameter."""
     g, coords = d.graph, d.coords
-    worst = 0.0
-    for v, row in matrix.weights.items():
-        target = np.zeros(2)
-        for u, w in row.items():
-            target += w * coords[u]
-        worst = max(worst, float(np.abs(coords[v] - target).max()))
+    internal, rows, cols, weights = _entries(g, matrix)
+    nbrs = coords[np.array(internal + g.outer_cycle[::-1])[cols]]  # column -1 - k: corner k
+    target = [np.bincount(rows, weights * nbrs[:, k], len(internal)) for k in (0, 1)]
+    worst = float(np.abs(coords[list(internal)] - np.stack(target, axis=1)).max())
     diff = coords[:, None, :] - coords[None, :, :]
     diameter = float(np.hypot(diff[..., 0], diff[..., 1]).max())
     if diameter == 0.0:

@@ -14,7 +14,6 @@ ring labels depending on (k - i) mod 3.  Morphing between them forces
 intermediate rings to shrink geometrically.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,13 +136,8 @@ def nested_triangles(n):
         coords0[uid(i)] = left(i)
         coords0[vid(i)] = right(i)
         coords0[zid(i)] = top(i)
-        shift = (k - i) % 3
-        if shift == 0:
-            coords1[zid(i)], coords1[vid(i)], coords1[uid(i)] = top(i), right(i), left(i)
-        elif shift == 1:
-            coords1[zid(i)], coords1[vid(i)], coords1[uid(i)] = right(i), left(i), top(i)
-        else:
-            coords1[zid(i)], coords1[vid(i)], coords1[uid(i)] = left(i), top(i), right(i)
+        anchors, shift = (top(i), right(i), left(i)), (k - i) % 3
+        coords1[[zid(i), vid(i), uid(i)]] = anchors[shift:] + anchors[:shift]
     gamma0 = Drawing(g, coords0)
     gamma1 = Drawing(g, coords1)
     _require_planar(gamma0, "gamma0")

@@ -145,7 +145,7 @@ def _separated_pairs(d):
     """
     coords = d.coords
     n = coords.shape[0]
-    E = np.array(d.graph.edges, dtype=int).reshape(-1, 2)
+    E = d.graph.edge_array
     m = E.shape[0]
 
     diff = coords[:, None, :] - coords[None, :, :]
@@ -177,7 +177,7 @@ def _face_pair_distances(d):
     stored order, and their distance, which equals the pairwise table
     entry of _separated_pairs bit for bit.
     """
-    faces = np.array(d.graph.faces, dtype=int).reshape(-1, 3)
+    faces = d.graph.face_array
     vertices = faces.ravel()
     a, b = np.roll(faces, -1, axis=1).ravel(), np.roll(faces, -2, axis=1).ravel()
     edges = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
@@ -207,9 +207,9 @@ def separated_object_extremes(d):
     the adversarial families drive them below any fixed epsilon.
     """
     g, coords = d.graph, d.coords
-    if not np.all(_doubled_areas(coords[list(g.faces) + [g.outer_cycle]]) > 0.0):
+    if not np.all(_doubled_areas(coords[np.vstack([g.face_array, g.outer_cycle])]) > 0.0):
         return _extremes_by_pairs(d)
-    E = np.array(g.edges, dtype=int).reshape(-1, 2)
+    E = g.edge_array
     lengths = np.hypot(*(coords[E[:, 0]] - coords[E[:, 1]]).T)
     pair = lambda j: (("vertex", g.edges[j][0]), ("vertex", g.edges[j][1]))
 
@@ -392,7 +392,7 @@ def verify_planar_straight_line(d):
     eps = geometric_eps()
     scale = d.scale
     eps_area = eps * scale * scale
-    if np.all(_doubled_areas(d.coords[list(d.graph.faces)]) > eps_area) \
+    if np.all(_doubled_areas(d.coords[d.graph.face_array]) > eps_area) \
             and not _outer_violations(d, eps_area) \
             and _face_pair_distances(d)[2].min() > 2.0 * math.sqrt(eps) * scale:
         return True, []

@@ -2,7 +2,8 @@
 
 A morph interpolates two coefficient matrices on the same graph with the
 outer triangle fixed; every intermediate drawing is the planar solution
-of its own interpolated system.  Discretization walks t forward
+of its own system, built from the weights (1 - t) w0 + t w1 exactly as
+for f_drawing(interpolate(m0, m1, t)).  Discretization walks t forward
 greedily: from checkpoint Psi_j with minimum separation delta_j, the
 largest t' is found (by bisection) whose drawing moves every coordinate
 by at most delta_j / 3.  Checkpoints are verified in full; each
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import assert_valid, interpolate
-from .embedder import BarycentricSystem, _place, _solve, assemble_system, f_drawing
+from .coefficients import assert_valid
+from .embedder import _assembler, _drawing, _entries, _place, _solve
 from .errors import (
     GraphMismatch,
     ParameterOutOfRange,
@@ -56,38 +57,29 @@ def fg_morph(graph, m0, m1, outer, validate=True):
     return FGMorph(graph=graph, m0=m0, m1=m1, outer=outer)
 
 
+def _weights(m):
+    """The build function of m0's entry layout, and t -> the weights at t,
+    (1 - t) w0 + t w1 as interpolate computes them, w1 in m0's order."""
+    internal, rows, cols, w0 = _entries(m.graph, m.m0)
+    w1 = np.array([m.m1.weights[v][u] for v in internal for u in m.m0.weights[v]], float)
+
+    def at(t):
+        if not 0.0 <= t <= 1.0:
+            raise ParameterOutOfRange(f"t = {t} outside [0, 1]")
+        return (1.0 - t) * w0 + t * w1
+
+    return _assembler(m.graph, m.outer, internal, rows, cols), at
+
+
 def morph_at(m, t, check=True):
     """Drawing of the morph at time t in [0, 1]."""
-    return f_drawing(m.graph, interpolate(m.m0, m.m1, t), m.outer,
-                     validate=False, check=check)
-
-
-class _MorphSolver:
-    """Solve many t values cheaply by interpolating assembled systems.
-
-    Every assembled entry is linear in the weights, so interpolating the
-    two endpoint systems agrees with assembling the interpolated
-    coefficients up to rounding; morph_at stays the reference path.
-    """
-
-    def __init__(self, m):
-        self.s0 = assemble_system(m.graph, m.m0, m.outer, validate=False)
-        self.s1 = assemble_system(m.graph, m.m1, m.outer, validate=False)
-
-    def coords_at(self, t):
-        s = 1.0 - t
-        sys0, sys1 = self.s0, self.s1
-        A = s * sys0.A + t * sys1.A
-        bx = s * sys0.bx + t * sys1.bx
-        by = s * sys0.by + t * sys1.by
-        system = BarycentricSystem(graph=sys0.graph, triangle=sys0.triangle,
-                                   internal_ids=sys0.internal_ids, A=A, bx=bx, by=by)
-        return _place(system, *_solve(system))
+    build, at = _weights(m)
+    return _drawing(build(at(t)), check)
 
 
 def lambda_min_at(m, t):
     """Smallest coefficient entry of the interpolated matrix at time t."""
-    return interpolate(m.m0, m.m1, t).min_lambda()
+    return float(_weights(m)[1](t).min())
 
 
 def morph_resolution_floor(m, ts):
@@ -97,16 +89,8 @@ def morph_resolution_floor(m, ts):
     in t and never below min of the endpoint minima; the floor combines
     it with the outer triangle's resolution.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    w0, w1 = [], []
-    for v, row in m.m0.weights.items():
-        for u, w in row.items():
-            w0.append(w)
-            w1.append(m.m1.weights[v][u])
-    w0 = np.array(w0)
-    w1 = np.array(w1)
-    lam_min = np.min((1.0 - ts)[:, None] * w0[None, :] + ts[:, None] * w1[None, :],
-                     axis=1)
+    at = _weights(m)[1]
+    lam_min = np.array([at(t).min() for t in np.atleast_1d(ts)])
     r = triangle_resolution(m.outer)
     n = m.graph.vertex_count
     floor = np.log(r / 2.0) + n * np.log(lam_min / 3.0)
@@ -144,7 +128,7 @@ def _check_linear_step(graph, a, b, context):
     separation delta <= sqrt(eps) S or delta A_out <= sqrt(8) eps S^3, so
     alpha > sqrt(8 eps) S^2 rules them out; the ends are verified in full.
     """
-    faces = list(graph.faces) + [graph.outer_cycle]
+    faces = np.vstack([graph.face_array, graph.outer_cycle])
     pa, pb = a.coords[faces], b.coords[faces]
     ua, va = pa[:, 1] - pa[:, 0], pa[:, 2] - pa[:, 0]
     du, dv = pb[:, 1] - pb[:, 0] - ua, pb[:, 2] - pb[:, 0] - va
@@ -153,9 +137,9 @@ def _check_linear_step(graph, a, b, context):
         vertex = np.clip(-(_cross(ua, dv) + _cross(du, va)) / (2.0 * C), 0.0, 1.0)
     s = np.stack([np.zeros_like(C), np.ones_like(C), np.where(C > 0.0, vertex, 0.0)])
     alpha = _doubled_areas((1.0 - s)[..., None, None] * pa + s[..., None, None] * pb)
-    worst = int(np.argmin(alpha.min(axis=0)))
     if not alpha.min() > np.sqrt(8.0) * geometric_eps() * max(a.scale, b.scale) ** 2:
-        raise ValidationError(f"linear step {context}: face {faces[worst]} reaches "
+        worst = faces[np.argmin(alpha.min(axis=0))].tolist()
+        raise ValidationError(f"linear step {context}: face {tuple(worst)} reaches "
                               f"doubled area {alpha.min():.3g}")
 
 
@@ -170,8 +154,8 @@ def discretize_morph(m, min_step=MIN_STEP_DEFAULT):
     """
     if not 0.0 < min_step < 1.0:
         raise ParameterOutOfRange(f"min_step = {min_step} outside (0, 1)")
-    solver = _MorphSolver(m)
-    psi = morph_at(m, 0.0)
+    build, at = _weights(m)
+    psi = _drawing(build(at(0.0)))
     _require_planar(psi, "drawing at t=0")
     t = 0.0
     checkpoints = [(0.0, psi)]
@@ -180,7 +164,9 @@ def discretize_morph(m, min_step=MIN_STEP_DEFAULT):
         radius = separated_object_extremes(psi).min_dist / 3.0
 
         def within(tp):
-            return float(np.abs(solver.coords_at(tp) - psi.coords).max()) <= radius
+            system = build(at(tp))
+            coords = _place(system, *_solve(system))
+            return float(np.abs(coords - psi.coords).max()) <= radius
 
         if within(1.0):
             t_next = 1.0
@@ -197,7 +183,7 @@ def discretize_morph(m, min_step=MIN_STEP_DEFAULT):
                 raise StepStalled(
                     f"safe step from t={t:.6g} is {t_next - t:.3g}, "
                     f"below min_step={min_step:.3g}")
-        psi_next = morph_at(m, t_next)
+        psi_next = _drawing(build(at(t_next)))
         _require_planar(psi_next, f"drawing at t={t_next:.6g}")
         _check_linear_step(m.graph, psi, psi_next, f"[{t:.6g}, {t_next:.6g}]")
         checkpoints.append((t_next, psi_next))
@@ -222,8 +208,9 @@ def validate_schedule(m, schedule):
     if any(b <= a for a, b in zip(ts, ts[1:])):
         violations.append(("t_not_increasing", tuple(ts)))
     scale = max(d.scale for _, d in cps)
+    build, at = _weights(m)
     for t, drawing in cps:
-        expected = morph_at(m, t, check=False)
+        expected = _drawing(build(at(t)), check=False)
         dev = float(np.abs(expected.coords - drawing.coords).max())
         if dev > SCHEDULE_TOL * scale:
             violations.append(("checkpoint_mismatch", (t, dev)))
@@ -253,13 +240,12 @@ class FGCurvePoint:
     point: np.ndarray
 
 
-def fg_curve_point(m, t, _solver=None):
-    coords = (_solver or _MorphSolver(m)).coords_at(t)
-    internal = sorted(m.graph.internal_vertices)
-    vec = np.empty(1 + 2 * len(internal))
+def fg_curve_point(m, t, _weights_of_m=None):
+    build, at = _weights_of_m or _weights(m)
+    x, y = _solve(build(at(t)))
+    vec = np.empty(1 + 2 * len(x))
     vec[0] = t
-    vec[1::2] = coords[internal, 0]
-    vec[2::2] = coords[internal, 1]
+    vec[1::2], vec[2::2] = x, y
     return FGCurvePoint(t=t, point=vec)
 
 
@@ -271,8 +257,8 @@ def fg_curve_length_estimate(m, samples):
     """
     if samples < 2:
         raise ParameterOutOfRange(f"need samples >= 2, got {samples}")
-    solver = _MorphSolver(m)
-    pts = np.stack([fg_curve_point(m, i / samples, _solver=solver).point
+    weights = _weights(m)
+    pts = np.stack([fg_curve_point(m, i / samples, _weights_of_m=weights).point
                     for i in range(samples + 1)])
     seg = np.sqrt(np.sum(np.diff(pts, axis=0) ** 2, axis=1))
     return float(np.sum(seg))

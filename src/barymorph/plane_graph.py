@@ -13,6 +13,8 @@ embedding with one face marked as outer.
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DegreeTooLow,
     EulerViolation,
@@ -42,8 +44,8 @@ class PlaneGraph:
     trusts its arguments.
     """
 
-    __slots__ = ("vertex_count", "faces", "outer_cycle", "_adjacency",
-                 "_rotation_ccw", "_edges", "_face_set", "_internal")
+    __slots__ = ("vertex_count", "faces", "outer_cycle", "edges", "face_array",
+                 "edge_array", "_adjacency", "_rotation_ccw", "_face_set", "_internal")
 
     def __init__(self, vertex_count, faces, outer_cycle, adjacency,
                  rotation_ccw, edges, face_set):
@@ -52,16 +54,14 @@ class PlaneGraph:
         self.outer_cycle = outer_cycle
         self._adjacency = adjacency
         self._rotation_ccw = rotation_ccw
-        self._edges = edges
+        self.edges = edges  # sorted (min, max) pairs
         self._face_set = face_set
         self._internal = frozenset(range(vertex_count)) - frozenset(outer_cycle)
+        self.face_array = np.array(faces).reshape(-1, 3)
+        self.edge_array = np.array(edges).reshape(-1, 2)
+        self.face_array.flags.writeable = self.edge_array.flags.writeable = False
 
     # -- plain queries ----------------------------------------------------
-
-    @property
-    def edges(self):
-        """Sorted tuple of undirected edges as (min, max) pairs."""
-        return self._edges
 
     @property
     def internal_vertices(self):
@@ -209,6 +209,11 @@ def neighbors_cw(g, v):
     return cw
 
 
+def _sides(cycle):
+    """The sides of a cycle (a tuple of ids) as (min, max) pairs, in order."""
+    return [(min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+
+
 def enclosed_subgraph(g, cycle):
     """Vertices and edges on or strictly inside a cycle of g.
 
@@ -221,32 +226,24 @@ def enclosed_subgraph(g, cycle):
         raise ValidationError(f"not a simple cycle: {cyc}")
     for v in cyc:
         g._check_vertex(v)
-    cyc_edges = set()
-    for i, a in enumerate(cyc):
-        b = cyc[(i + 1) % len(cyc)]
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         if not g.has_edge(a, b):
             raise ValidationError(f"cycle step ({a},{b}) is not an edge")
-        cyc_edges.add((min(a, b), max(a, b)))
+    cyc_edges = set(_sides(cyc))
 
     # Region search over faces: outer face (index -1) seeds the outside;
     # faces sharing an edge not on the cycle are in the same region.
     edge_faces = {}
-    for idx, tri in enumerate(g.faces):
-        for i in range(3):
-            e = (min(tri[i], tri[(i + 1) % 3]), max(tri[i], tri[(i + 1) % 3]))
+    for idx, tri in [*enumerate(g.faces), (-1, g.outer_cycle)]:
+        for e in _sides(tri):
             edge_faces.setdefault(e, []).append(idx)
-    for i in range(3):
-        e = (min(g.outer_cycle[i], g.outer_cycle[(i + 1) % 3]),
-             max(g.outer_cycle[i], g.outer_cycle[(i + 1) % 3]))
-        edge_faces.setdefault(e, []).append(-1)
 
     outside = {-1}
     stack = [-1]
     while stack:
         f = stack.pop()
         tri = g.outer_cycle if f == -1 else g.faces[f]
-        for i in range(3):
-            e = (min(tri[i], tri[(i + 1) % 3]), max(tri[i], tri[(i + 1) % 3]))
+        for e in _sides(tri):
             if e in cyc_edges:
                 continue
             for other in edge_faces[e]:
@@ -259,8 +256,7 @@ def enclosed_subgraph(g, cycle):
     edges = set(cyc_edges)
     for tri in inside_faces:
         vertices.update(tri)
-        for i in range(3):
-            edges.add((min(tri[i], tri[(i + 1) % 3]), max(tri[i], tri[(i + 1) % 3])))
+        edges.update(_sides(tri))
     return frozenset(vertices), frozenset(edges), tuple(inside_faces)
 
 

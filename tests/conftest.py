@@ -102,6 +102,29 @@ def drawing_corpus(solve_corpus, nested_instances):
     return cases
 
 
+def _assemble_by_loop(g, matrix, triangle):
+    internal = tuple(sorted(g.internal_vertices))
+    index = {v: i for i, v in enumerate(internal)}
+    corner = {v: triangle.points[i] for i, v in enumerate(g.outer_cycle)}
+    A, bx, by = np.eye(len(internal)), np.zeros(len(internal)), np.zeros(len(internal))
+    for v in internal:
+        i = index[v]
+        for u, w in matrix.weights[v].items():
+            if u in index:
+                A[i, index[u]] = -w
+            else:
+                bx[i] += w * corner[u][0]
+                by[i] += w * corner[u][1]
+    return internal, A, bx, by
+
+
+@pytest.fixture(scope="session")
+def assemble_by_loop():
+    """The interior system (internal ids, A, bx, by) entry by entry in dict
+    order: the oracle the weight-array assembly must match byte for byte."""
+    return _assemble_by_loop
+
+
 @pytest.fixture(scope="session")
 def session_times():
     """Accumulator for criteria whose runtime budgets are shared."""

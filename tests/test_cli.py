@@ -202,6 +202,17 @@ def test_validate_drawing_and_coeffs(k4_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["validate", "draw"])
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_non_finite_coefficients_are_exit_3(k4_file, tmp_path, capsys, command, weight):
+    coeffs = tmp_path / "k4.coeffs"
+    coeffs.write_text(f"w 3 0 {weight}\nw 3 1 0.5\nw 3 2 0.5\n")
+    assert main([command, k4_file, "--coeffs", str(coeffs)]) == 3
+    captured = capsys.readouterr()
+    assert "coefficients ok" not in captured.out
+    assert "InvalidCoefficients" in captured.err
+
+
 def test_validate_self_check(capsys):
     assert main(["validate", "--random-stacked", "12", "--seed", "5",
                  "--count", "3"]) == 0

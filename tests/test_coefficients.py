@@ -93,6 +93,17 @@ def test_nonpositive_and_spurious_entries(k4):
     assert "external_row" in codes2
 
 
+@pytest.mark.parametrize("row, codes", [
+    ({0: math.nan, 1: 0.5, 2: 0.5}, {"nonpositive_entry", "row_sum"}),
+    ({0: math.inf, 1: 0.5, 2: 0.5}, {"row_sum"}),
+    ({0: math.inf, 1: -math.inf, 2: 0.5}, {"nonpositive_entry", "row_sum"}),
+    ({0: 1e308, 1: 1e308, 2: 0.5}, {"row_sum"}),  # overflows math.fsum
+], ids=["nan", "inf", "inf_minus_inf", "huge"])
+def test_non_finite_weights_are_violations(k4, row, codes):
+    report = validate_coefficients(k4, CoefficientMatrix(k4, {3: row}))
+    assert codes <= {code for code, _ in report.violations}
+
+
 def test_missing_row(k4):
     m = CoefficientMatrix(k4, {})
     codes = {v[0] for v in validate_coefficients(k4, m).violations}

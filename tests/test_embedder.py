@@ -8,10 +8,12 @@ from barymorph import (
     Drawing,
     assemble_system,
     eades_garvan,
+    interpolate,
     eg_chain_oracle,
     f_drawing,
     log_resolution_floor,
     nested_triangles,
+    recover_coefficients,
     residual,
     separated_object_extremes,
     t_drawing,
@@ -66,6 +68,60 @@ def test_system_diagonal_dominance():
             assert off < 1.0 - 1e-12
         else:
             assert off <= 1.0 + 1e-12
+
+
+def _system_cases(solve_corpus):
+    """The solve corpus, eg rows across the decay window, and interpolated
+    nested systems, as (name, graph, matrix, triangle)."""
+    cases = [(c.name, c.graph, c.matrix, c.triangle) for c in solve_corpus]
+    for n in list(range(7, 521, 37)) + [520]:
+        inst = eades_garvan(n, 0.25, SQRT3_2)
+        cases.append((f"eg{n}", inst.graph, inst.matrix, inst.outer))
+    for n in (9, 15, 30):
+        inst = nested_triangles(n)
+        m0, _ = recover_coefficients(inst.gamma0)
+        m1, _ = recover_coefficients(inst.gamma1)
+        for t in (0.0, 0.3, 0.5, 1.0):
+            cases.append((f"nested{n}@{t}", inst.graph, interpolate(m0, m1, t), inst.outer))
+    return cases
+
+
+def test_assembly_equals_loop_oracle(solve_corpus, assemble_by_loop):
+    for name, g, matrix, triangle in _system_cases(solve_corpus):
+        sys_ = assemble_system(g, matrix, triangle, validate=False)
+        internal, A, bx, by = assemble_by_loop(g, matrix, triangle)
+        assert sys_.internal_ids == internal, name
+        for got, want in ((sys_.A, A), (sys_.bx, bx), (sys_.by, by)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def _residual_by_loop(d, matrix):
+    """residual's numerator, vertex by vertex in dict order."""
+    worst = 0.0
+    for v, row in matrix.weights.items():
+        target = np.zeros(2)
+        for u, w in row.items():
+            target += w * d.coords[u]
+        worst = max(worst, float(np.abs(d.coords[v] - target).max()))
+    return worst
+
+
+def test_residual_equals_loop_oracle(solve_corpus):
+    rng = np.random.default_rng(5)
+    for name, g, matrix, triangle in _system_cases(solve_corpus)[::3]:
+        d = f_drawing(g, matrix, triangle, validate=False)
+        moved = Drawing(g, d.coords + rng.normal(scale=1e-3, size=d.coords.shape))
+        for drawing in (d, moved):
+            diff = drawing.coords[:, None, :] - drawing.coords[None, :, :]
+            diameter = float(np.hypot(diff[..., 0], diff[..., 1]).max())
+            assert residual(drawing, matrix) == _residual_by_loop(drawing, matrix) / diameter, name
+
+
+def test_non_finite_weight_is_singular_system(k4, equilateral):
+    # pins the check that lets _solve skip scipy's input scan
+    bad = CoefficientMatrix(k4, {3: {0: math.nan, 1: 0.5, 2: 0.5}})
+    with pytest.raises(SingularSystem):
+        f_drawing(k4, bad, equilateral, validate=False)
 
 
 def test_k4_barycenter(k4, equilateral):
@@ -134,9 +190,11 @@ def test_singular_system_detected(k4, equilateral):
     # A malformed matrix putting all mass on an internal self-loop-like
     # row cannot happen through validation, so drive the solver directly
     # with validate off: full mass on the internal vertex's row wiped out.
-    bad = CoefficientMatrix(k4, {3: {0: 0.0, 1: 0.0, 2: 0.0}})
-    with pytest.raises((SingularSystem, SolverError, ResidualTooLarge)):
-        f_drawing(k4, bad, equilateral, validate=False)
+    # An empty row (no entries at all) must fail the same typed way.
+    for row in ({0: 0.0, 1: 0.0, 2: 0.0}, {}):
+        bad = CoefficientMatrix(k4, {3: row})
+        with pytest.raises((SingularSystem, SolverError, ResidualTooLarge)):
+            f_drawing(k4, bad, equilateral, validate=False)
 
 
 def test_log_floor_formula():

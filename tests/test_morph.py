@@ -21,6 +21,7 @@ from barymorph import (
     parse_schedule,
     format_schedule,
     geometric_eps,
+    interpolate,
     random_stacked_triangulation,
     recover_coefficients,
     separated_object_extremes,
@@ -37,7 +38,8 @@ from barymorph.errors import (
     StepStalled,
     ValidationError,
 )
-from barymorph.morph import _MorphSolver, _check_linear_step
+from barymorph.embedder import _place, _solve
+from barymorph.morph import _check_linear_step, _weights
 
 
 def _random_coefficients(g, rng):
@@ -122,12 +124,61 @@ def test_measured_resolution_above_floor(nested9_morph):
         assert math.log(rep.resolution) >= f - 1e-9
 
 
-def test_solver_agrees_with_reference(nested9_morph):
-    solver = _MorphSolver(nested9_morph)
-    for t in (0.0, 0.37, 1.0):
-        ref = morph_at(nested9_morph, t, check=False)
-        dev = np.abs(solver.coords_at(t) - ref.coords).max()
-        assert dev <= 1e-11 * ref.scale
+def _c9_pair(equilateral):
+    """The first random pair criterion 09 discretizes (same seed and draws)."""
+    rng = np.random.default_rng(615001)
+    g = random_stacked_triangulation(int(rng.integers(5, 21)), rng=rng)
+    m0 = _random_coefficients(g, rng)
+    return fg_morph(g, m0, _random_coefficients(g, rng), equilateral)
+
+
+MORPH_TS = [0.0, 1.0, 0.5, 1.0 / 3.0, 1e-9, 1.0 - 1e-9] + [i / 23 for i in range(1, 23, 2)] \
+    + [0.37, 0.123456789, 0.999, 0.001]
+
+
+@pytest.mark.parametrize("which", ["nested9", "c9_pair0"])
+def test_morph_path_equals_f_drawing_of_interpolate(which, nested9_morph, equilateral):
+    """Every morph consumer (morph_at, the bisection solve, the curve point)
+    reproduces f_drawing of the dict interpolation byte for byte."""
+    m = nested9_morph if which == "nested9" else _c9_pair(equilateral)
+    build, at = _weights(m)
+    internal = sorted(m.graph.internal_vertices)
+    assert len(MORPH_TS) >= 20
+    for t in MORPH_TS:
+        ref = f_drawing(m.graph, interpolate(m.m0, m.m1, t), m.outer, validate=False)
+        assert morph_at(m, t).coords.tobytes() == ref.coords.tobytes(), t
+        system = build(at(t))
+        assert _place(system, *_solve(system)).tobytes() == ref.coords.tobytes(), t
+        point = fg_curve_point(m, t).point
+        assert point[1::2].tobytes() == ref.coords[internal, 0].tobytes(), t
+        assert point[2::2].tobytes() == ref.coords[internal, 1].tobytes(), t
+
+
+def test_morph_systems_equal_loop_oracle(nested9_morph, assemble_by_loop):
+    m = nested9_morph
+    build, at = _weights(m)
+    for t in MORPH_TS:
+        system = build(at(t))
+        internal, A, bx, by = assemble_by_loop(m.graph, interpolate(m.m0, m.m1, t), m.outer)
+        assert system.internal_ids == internal
+        for got, want in ((system.A, A), (system.bx, bx), (system.by, by)):
+            assert got.tobytes() == want.tobytes(), t
+
+
+def test_lambda_min_equals_interpolate(nested9_morph):
+    m = nested9_morph
+    lam, _ = morph_resolution_floor(m, MORPH_TS)
+    for t, got in zip(MORPH_TS, lam):
+        want = interpolate(m.m0, m.m1, t).min_lambda()
+        assert lambda_min_at(m, t) == want and got == want, t
+
+
+def test_morph_time_outside_unit_interval(k4_morph):
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(ParameterOutOfRange):
+            morph_at(k4_morph, bad)
+        with pytest.raises(ParameterOutOfRange):
+            lambda_min_at(k4_morph, bad)
 
 
 def test_discretize_nested(nested9_morph):

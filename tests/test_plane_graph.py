@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from barymorph import (
@@ -16,6 +17,7 @@ from barymorph.errors import (
     NotTriangulated,
     ParseError,
     UnknownVertex,
+    ValidationError,
 )
 
 K4_FACES = [(0, 1, 3), (1, 2, 3), (0, 3, 2)]
@@ -115,6 +117,44 @@ def test_enclosed_subgraph_outer_cycle_is_everything():
     assert len(vertices) == 9
     assert len(edges) == len(inst.graph.edges)
     assert len(inside) == len(inst.graph.faces)
+
+
+def test_enclosed_subgraph_matches_geometry():
+    # faces inside a ring are those whose centroid gamma0 puts inside it
+    inst = nested_triangles(15)
+    g, coords = inst.graph, inst.gamma0.coords
+    for ring in inst.rings:
+        vertices, edges, inside = enclosed_subgraph(g, ring)
+        corners = coords[list(ring)]
+        sides = np.roll(corners, -1, axis=0) - corners
+
+        def is_inside(face):
+            r = coords[list(face)].mean(axis=0) - corners
+            return bool(np.all(sides[:, 0] * r[:, 1] - sides[:, 1] * r[:, 0] > 0.0))
+
+        want = tuple(f for f in g.faces if is_inside(f))
+        assert inside == want
+        assert vertices == frozenset(ring).union(*inside)
+        assert edges == {(min(a, b), max(a, b)) for f in inside + (ring,)
+                         for a, b in zip(f, f[1:] + f[:1])}
+
+
+def test_enclosed_subgraph_rejects_non_edge():
+    inst = nested_triangles(9)
+    with pytest.raises(ValidationError, match=r"cycle step \(1,5\) is not an edge"):
+        enclosed_subgraph(inst.graph, (0, 1, 5))
+
+
+def test_index_arrays(k4):
+    g = nested_triangles(12).graph
+    for graph in (k4, g):
+        assert graph.face_array.tolist() == [list(f) for f in graph.faces]
+        assert graph.edge_array.tolist() == [list(e) for e in graph.edges]
+        assert graph.face_array.dtype.kind == graph.edge_array.dtype.kind == "i"
+        with pytest.raises(ValueError):
+            graph.face_array[0, 0] = 1
+        with pytest.raises(ValueError):
+            graph.edge_array[0, 0] = 1
 
 
 def test_format_parse_round_trip(k4):
