@@ -2,12 +2,15 @@
 
 A coefficient matrix assigns every internal vertex v a positive weight
 on each of its neighbors, summing to 1, so that a drawing solves
-v = sum_u lambda_vu * u for all internal v.  Recovery inverts this: given
-a planar drawing, shoot a ray from each neighbor u_k through v into the
-star-shaped neighbor polygon and read off barycentric weights, then
-average them over the d rays.  The recovered matrix reproduces the
-drawing exactly, and its smallest entry is provably larger than
-resolution / n.
+v = sum_u lambda_vu * u for all internal v.  Recovery inverts this with
+Floater's shape-preserving weights: given a planar drawing, shoot a ray
+from each neighbor u_k through v into the star-shaped neighbor polygon,
+read off barycentric weights in the triangle it hits, and average them
+over the d rays.  One array pass pairs every ray of every vertex with
+every neighbor of that vertex; the lowest-index match wins, a neighbor
+on the ray before the first clockwise sector holding it.  The recovered
+matrix reproduces the drawing exactly, and its smallest entry is
+provably larger than resolution / n.
 """
 
 import math
@@ -22,7 +25,7 @@ from .errors import (
     ParameterOutOfRange,
     ParseError,
 )
-from .plane_graph import neighbors_cw
+from .plane_graph import _neighbors_cw
 
 ROW_SUM_TOL = 1e-12
 ANGULAR_EPS = 1e-10  # ray treated as hitting a polygon vertex within this angle
@@ -134,116 +137,105 @@ def interpolate(m0, m1, t):
 # --- recovery ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RayHit:
-    """One ray of the recovery: from neighbor index k through v."""
-
-    kind: str          # "vertex" or "edge"
-    source: int        # k, index into the clockwise neighbor order
-    hit: int           # i: hit vertex index, or left endpoint of hit edge
-    mu: tuple          # (mu on u_k, mu on u_i, mu on u_{i+1}); sums to 1
-
-
-@dataclass(frozen=True)
 class RecoveryTrace:
-    cw_order: dict     # internal vertex -> clockwise neighbor tuple
-    hits: dict         # internal vertex -> tuple of RayHit, one per ray
+    """One row per ray: vertices in id order, each vertex's rays clockwise.
+    The ray from u_k through v meets u_hit (vertex_hit) or edge u_hit u_hit+1."""
 
-
-def _recover_vertex(vp, pts):
-    """Coefficient row for one internal vertex.
-
-    vp is the vertex position, pts the neighbor positions in clockwise
-    order.  Returns (row weights aligned with pts, hits).  Raises
-    NonStarShaped when the neighbor polygon does not wind once clockwise
-    around vp.
-    """
-    d = len(pts)
-    rel = pts - vp
-    norms = np.hypot(rel[:, 0], rel[:, 1])
-    if np.any(norms == 0.0):
-        raise NonStarShaped("neighbor coincides with the vertex")
-    unit = rel / norms[:, None]
-
-    turn = 0.0
-    for j in range(d):
-        a, b = unit[j], unit[(j + 1) % d]
-        cr = a[0] * b[1] - a[1] * b[0]
-        if cr >= 0.0:
-            raise NonStarShaped("neighbor polygon does not turn clockwise")
-        turn += math.atan2(cr, a @ b)
-    if abs(turn + 2.0 * math.pi) > 1e-6:
-        raise NonStarShaped(f"neighbor polygon winds {turn / (2 * math.pi):.3f} turns")
-
-    acc = np.zeros(d)
-    hits = []
-    for k in range(d):
-        q = -unit[k]
-        sin_to = q[0] * unit[:, 1] - q[1] * unit[:, 0]  # cross(q, unit_i)
-        cos_to = unit @ q
-        vertex_is = np.nonzero((np.abs(sin_to) <= ANGULAR_EPS) & (cos_to > 0.0))[0]
-        if vertex_is.size:
-            i = int(vertex_is[0])
-            # v lies on the chord u_k .. u_i; weight by arc position.
-            chord = rel[i] - rel[k]
-            b = float((-rel[k]) @ chord) / float(chord @ chord)
-            mu = (1.0 - b, b, 0.0)
-            hits.append(RayHit(kind="vertex", source=k, hit=i, mu=mu))
-            acc[k] += mu[0]
-            acc[i] += mu[1]
-            continue
-        # Clockwise sector scan; first matching sector wins (lower index).
-        for i in range(d):
-            j = (i + 1) % d
-            if i == k or j == k:
-                continue
-            c1 = unit[i, 0] * q[1] - unit[i, 1] * q[0]   # cross(unit_i, q)
-            c2 = q[0] * unit[j, 1] - q[1] * unit[j, 0]   # cross(q, unit_j)
-            if c1 <= 0.0 and c2 <= 0.0:
-                break
-        else:
-            raise NonStarShaped("ray through the vertex leaves no polygon sector")
-        area = _tri2(rel[k], rel[i], rel[j])
-        mu_k = _tri2(np.zeros(2), rel[i], rel[j]) / area
-        mu_j = _tri2(rel[k], rel[i], np.zeros(2)) / area
-        s = mu_k + mu_j + _tri2(rel[k], np.zeros(2), rel[j]) / area
-        mu_k /= s
-        mu_j /= s
-        mu_i = 1.0 - mu_k - mu_j  # exact complement, weights sum to 1
-        mu = (mu_k, mu_i, mu_j)
-        hits.append(RayHit(kind="edge", source=k, hit=i, mu=mu))
-        acc[k] += mu_k
-        acc[i] += mu_i
-        acc[j] += mu_j
-    return acc / d, hits
+    cw_order: dict          # internal vertex -> clockwise neighbor tuple
+    hit: np.ndarray         # (R,) index into the clockwise order
+    vertex_hit: np.ndarray  # (R,) bool
+    mu: np.ndarray          # (R, 3): v's weights on u_k, u_hit, u_hit+1; rows sum to 1
 
 
 def _tri2(a, b, c):
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+
+
+def _dots(x, y):
+    """Row-wise dot products, rounded as the BLAS dot of each row pair."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def recover_coefficients(d):
     """Recover a coefficient matrix whose drawing is exactly d.
 
     Expects a planar drawing (caller-verified).  Returns the matrix and
-    a trace of every ray hit; the matrix row of v reproduces v as a
-    convex combination of its neighbors by construction, so running the
-    embedder on the result returns d up to solver error.
+    its RecoveryTrace; running the embedder on the matrix returns d up to
+    solver error.  Raises NonStarShaped for the first vertex in id order
+    whose neighbor polygon does not wind once clockwise around it, or
+    which has a ray without a hit or a degenerate one.
     """
     g = d.graph
-    weights = {}
-    cw_order = {}
-    all_hits = {}
-    for v in sorted(g.internal_vertices):
-        cw = neighbors_cw(g, v)
-        pts = d.coords[list(cw)]
-        try:
-            row, hits = _recover_vertex(d.coords[v], pts)
-        except NonStarShaped as exc:
-            raise NonStarShaped(f"vertex {v}: {exc}") from None
-        weights[v] = {u: float(w) for u, w in zip(cw, row)}
-        cw_order[v] = cw
-        all_hits[v] = tuple(hits)
-    return CoefficientMatrix(g, weights), RecoveryTrace(cw_order=cw_order, hits=all_hits)
+    cw_order = {v: _neighbors_cw(g, v) for v in sorted(g.internal_vertices)}
+    deg = np.array([len(cw) for cw in cw_order.values()])
+    starts = np.cumsum(deg) - deg
+    owner = np.repeat(np.arange(len(deg)), deg)
+    slots = np.arange(len(owner))
+    k = slots - starts[owner]
+    nxt = np.where(k + 1 == deg[owner], starts[owner], slots + 1)
+    span = deg[owner]  # ray s is paired with every slot of its vertex, in order
+    ray, pair0 = np.repeat(slots, span), np.cumsum(span) - span
+    pairs = len(ray)
+    cand = np.arange(pairs) - np.repeat(pair0 - starts[owner], span)
+    with np.errstate(all="ignore"):  # degenerate input is flagged below
+        rel = (d.coords[np.concatenate(list(cw_order.values()))]
+               - d.coords[np.repeat(list(cw_order), deg)])
+        norms = np.hypot(rel[:, 0], rel[:, 1])
+        unit = rel / norms[:, None]
+        cr = unit[:, 0] * unit[nxt, 1] - unit[:, 1] * unit[nxt, 0]
+        turn = np.bincount(owner, np.arctan2(cr, _dots(unit, unit[nxt])), len(deg))
+        q, c, cn = -unit[ray], unit[cand], unit[nxt[cand]]
+        sin_to, cos_to = (q[:, 0] * c[:, 1] - q[:, 1] * c[:, 0],
+                          c[:, 0] * q[:, 0] + c[:, 1] * q[:, 1])
+        through = (np.abs(sin_to) <= ANGULAR_EPS) & (cos_to > 0.0)
+        sector = ((c[:, 0] * q[:, 1] - c[:, 1] * q[:, 0] <= 0.0)
+                  & (q[:, 0] * cn[:, 1] - q[:, 1] * cn[:, 0] <= 0.0)
+                  & (cand != ray) & (nxt[cand] != ray))
+        on_vertex, in_sector = np.minimum.reduceat(  # first matching pair, else pairs
+            np.where([through, sector], np.arange(pairs), pairs), pair0, axis=1)
+        vertex_hit = on_vertex < pairs
+        i = cand[np.minimum(np.where(vertex_hit, on_vertex, in_sector), pairs - 1)]
+        ri, rj = rel[i], rel[nxt[i]]
+        # v on the chord u_k .. u_i: weight by arc position.
+        chord = ri - rel
+        chord2 = _dots(chord, chord)
+        b = _dots(-rel, chord) / chord2
+        # Otherwise barycentric in the hit triangle (u_k, u_i, u_j).
+        o = np.zeros(2)
+        area = _tri2(rel, ri, rj)
+        mu_k = _tri2(o, ri, rj) / area
+        mu_j = _tri2(rel, ri, o) / area
+        s = mu_k + mu_j + _tri2(rel, o, rj) / area
+        mu_k, mu_j = mu_k / s, mu_j / s
+        mu = np.where(vertex_hit[:, None], np.stack([1.0 - b, b, np.zeros_like(b)], axis=1),
+                      np.stack([mu_k, 1.0 - mu_k - mu_j, mu_j], axis=1))
+        # bincount adds from 0.0 in ray order, like a per-vertex acc[k] += mu_k
+        acc = np.bincount(np.stack([slots, i, nxt[i]], 1).ravel(), mu.ravel(), len(slots))
+        weights = acc / deg[owner]
+
+    no_hit = ~vertex_hit & (in_sector == pairs)
+    stop = no_hit | vertex_hit & (chord2 == 0.0)  # a per-vertex loop stops here
+    checks = np.logical_or.reduceat(np.stack([
+        norms == 0.0, cr >= 0.0, np.repeat(np.abs(turn + 2.0 * math.pi) > 1e-6, deg), stop,
+        ~np.all(np.isfinite(mu), axis=1) | ~np.isfinite(weights)]), starts, axis=1)
+    for failing in (checks[:4].any(axis=0), checks[4]):  # non-finite weights last
+        if failing.any():
+            at = int(np.argmax(failing))
+            check = int(np.argmax(checks[:, at]))
+            if check == 3 and not no_hit[starts[at] + np.argmax(stop[starts[at]:])]:
+                check = 4
+            raise NonStarShaped(f"vertex {list(cw_order)[at]}: " + (
+                "neighbor coincides with the vertex",
+                "neighbor polygon does not turn clockwise",
+                f"neighbor polygon winds {turn[at] / (2 * math.pi):.3f} turns",
+                "ray through the vertex leaves no polygon sector",
+                "ray through the vertex meets a degenerate triangle")[check])
+
+    rows = weights.tolist()
+    matrix = {v: dict(zip(cw, rows[s:s + len(cw)]))
+              for (v, cw), s in zip(cw_order.items(), starts.tolist())}
+    return CoefficientMatrix(g, matrix), RecoveryTrace(cw_order, k[i], vertex_hit, mu)
 
 
 # --- text format ---------------------------------------------------------

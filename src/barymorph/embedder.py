@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.spatial import ConvexHull, QhullError
 
 from .coefficients import assert_valid, uniform_coefficients
 from .errors import ResidualTooLarge, SingularSystem, SolverError
@@ -146,7 +147,11 @@ def residual(d, matrix):
     nbrs = coords[np.array(internal + g.outer_cycle[::-1])[cols]]  # column -1 - k: corner k
     target = [np.bincount(rows, weights * nbrs[:, k], len(internal)) for k in (0, 1)]
     worst = float(np.abs(coords[list(internal)] - np.stack(target, axis=1)).max())
-    diff = coords[:, None, :] - coords[None, :, :]
+    try:  # the farthest pair of a point set is a pair of hull vertices
+        ends = coords[ConvexHull(coords).vertices]
+    except QhullError:  # collinear or coincident: the lexicographic extremes
+        ends = coords[np.lexsort(coords.T[::-1])[[0, -1]]]
+    diff = ends[:, None, :] - ends[None, :, :]
     diameter = float(np.hypot(diff[..., 0], diff[..., 1]).max())
     if diameter == 0.0:
         return math.inf

@@ -204,9 +204,12 @@ def neighbors_cw(g, v):
     (u_k, u_{k+1}) spans an internal face together with v.
     """
     g._check_vertex(v)
+    return _neighbors_cw(g, v)
+
+
+def _neighbors_cw(g, v):  # neighbors_cw for a v known to be a vertex of g
     ccw = g._rotation_ccw[v]
-    cw = (ccw[0],) + tuple(reversed(ccw[1:]))
-    return cw
+    return (ccw[0],) + tuple(reversed(ccw[1:]))
 
 
 def _sides(cycle):

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from barymorph import (
+    Drawing,
     Triangle,
     build_maximal_plane_graph,
     eades_garvan,
@@ -24,6 +26,9 @@ from barymorph import (
     random_stacked_triangulation,
     uniform_coefficients,
 )
+from barymorph.coefficients import ANGULAR_EPS
+from barymorph.errors import NonStarShaped
+from barymorph.plane_graph import neighbors_cw
 
 CORPUS_SEED = 988231
 STACKED_COUNT = 100
@@ -102,6 +107,29 @@ def drawing_corpus(solve_corpus, nested_instances):
     return cases
 
 
+def _ccw(pts, a, b, c):
+    (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
+
+
+@pytest.fixture(scope="session")
+def delaunay_drawing(equilateral):
+    """delaunay_drawing(seed, n): the Delaunay triangulation of the outer
+    corners and n - 3 seeded points inside, drawn at the points themselves."""
+    def draw(seed, n):
+        rng = np.random.default_rng(seed)
+        corners = equilateral.points
+        u = rng.random((n - 3, 2))
+        flip = u.sum(axis=1) > 1.0
+        u[flip] = 1.0 - u[flip]
+        pts = np.vstack([corners, corners[0] + u @ (corners[1:] - corners[0])])
+        faces = [(a, b, c) if _ccw(pts, a, b, c) else (a, c, b)
+                 for a, b, c in Delaunay(pts).simplices.tolist()]
+        return Drawing(build_maximal_plane_graph(faces, (0, 1, 2)), pts)
+
+    return draw
+
+
 def _assemble_by_loop(g, matrix, triangle):
     internal = tuple(sorted(g.internal_vertices))
     index = {v: i for i, v in enumerate(internal)}
@@ -123,6 +151,101 @@ def assemble_by_loop():
     """The interior system (internal ids, A, bx, by) entry by entry in dict
     order: the oracle the weight-array assembly must match byte for byte."""
     return _assemble_by_loop
+
+
+def _tri2(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _recover_vertex(vp, pts):
+    """Coefficient row for one internal vertex.
+
+    vp is the vertex position, pts the neighbor positions in clockwise
+    order.  Returns (row weights aligned with pts, hits), one hit
+    (vertex_hit, k, i, mu) per ray.  Raises NonStarShaped when the
+    neighbor polygon does not wind once clockwise around vp.
+    """
+    d = len(pts)
+    rel = pts - vp
+    norms = np.hypot(rel[:, 0], rel[:, 1])
+    if np.any(norms == 0.0):
+        raise NonStarShaped("neighbor coincides with the vertex")
+    unit = rel / norms[:, None]
+
+    turn = 0.0
+    for j in range(d):
+        a, b = unit[j], unit[(j + 1) % d]
+        cr = a[0] * b[1] - a[1] * b[0]
+        if cr >= 0.0:
+            raise NonStarShaped("neighbor polygon does not turn clockwise")
+        turn += math.atan2(cr, a @ b)
+    if abs(turn + 2.0 * math.pi) > 1e-6:
+        raise NonStarShaped(f"neighbor polygon winds {turn / (2 * math.pi):.3f} turns")
+
+    acc = np.zeros(d)
+    hits = []
+    for k in range(d):
+        q = -unit[k]
+        sin_to = q[0] * unit[:, 1] - q[1] * unit[:, 0]  # cross(q, unit_i)
+        cos_to = unit @ q
+        vertex_is = np.nonzero((np.abs(sin_to) <= ANGULAR_EPS) & (cos_to > 0.0))[0]
+        if vertex_is.size:
+            i = int(vertex_is[0])
+            # v lies on the chord u_k .. u_i; weight by arc position.
+            chord = rel[i] - rel[k]
+            b = float((-rel[k]) @ chord) / float(chord @ chord)
+            mu = (1.0 - b, b, 0.0)
+            hits.append((True, k, i, mu))
+            acc[k] += mu[0]
+            acc[i] += mu[1]
+            continue
+        # Clockwise sector scan; first matching sector wins (lower index).
+        for i in range(d):
+            j = (i + 1) % d
+            if i == k or j == k:
+                continue
+            c1 = unit[i, 0] * q[1] - unit[i, 1] * q[0]   # cross(unit_i, q)
+            c2 = q[0] * unit[j, 1] - q[1] * unit[j, 0]   # cross(q, unit_j)
+            if c1 <= 0.0 and c2 <= 0.0:
+                break
+        else:
+            raise NonStarShaped("ray through the vertex leaves no polygon sector")
+        area = _tri2(rel[k], rel[i], rel[j])
+        mu_k = _tri2(np.zeros(2), rel[i], rel[j]) / area
+        mu_j = _tri2(rel[k], rel[i], np.zeros(2)) / area
+        s = mu_k + mu_j + _tri2(rel[k], np.zeros(2), rel[j]) / area
+        mu_k /= s
+        mu_j /= s
+        mu_i = 1.0 - mu_k - mu_j  # exact complement, weights sum to 1
+        mu = (mu_k, mu_i, mu_j)
+        hits.append((False, k, i, mu))
+        acc[k] += mu_k
+        acc[i] += mu_i
+        acc[j] += mu_j
+    return acc / d, hits
+
+
+def _recover_by_loop(d):
+    g = d.graph
+    weights = {}
+    all_hits = []
+    for v in sorted(g.internal_vertices):
+        cw = neighbors_cw(g, v)
+        try:
+            row, hits = _recover_vertex(d.coords[v], d.coords[list(cw)])
+        except NonStarShaped as exc:
+            raise NonStarShaped(f"vertex {v}: {exc}") from None
+        weights[v] = {u: float(w) for u, w in zip(cw, row)}
+        all_hits += hits
+    return weights, all_hits
+
+
+@pytest.fixture(scope="session")
+def recover_by_loop():
+    """Recovered weights {v: {u: w}} and the hits of every ray, vertex by
+    vertex and ray by ray: the oracle recover_coefficients must match
+    bit for bit, key order included."""
+    return _recover_by_loop
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,25 +7,27 @@ import pytest
 from barymorph import (
     CoefficientMatrix,
     Drawing,
+    build_maximal_plane_graph,
     eades_garvan,
     f_drawing,
     format_coefficients,
     interpolate,
     nested_triangles,
     parse_coefficients,
+    random_stacked_triangulation,
     recover_coefficients,
     separated_object_extremes,
     t_drawing,
     uniform_coefficients,
     validate_coefficients,
 )
-from barymorph.coefficients import _recover_vertex
 from barymorph.errors import (
     GraphMismatch,
     InvalidCoefficients,
     NonStarShaped,
     ParameterOutOfRange,
 )
+from barymorph.plane_graph import neighbors_cw
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -152,36 +155,167 @@ def test_recover_k4_centroid(k4, equilateral):
     m, trace = recover_coefficients(d)
     for u in (0, 1, 2):
         assert m.weights[3][u] == pytest.approx(1 / 3, abs=1e-14)
-    for hit in trace.hits[3]:
-        assert hit.kind == "edge"
-        assert hit.mu[0] == pytest.approx(1 / 3, abs=1e-14)
+    assert trace.cw_order == {3: (0, 2, 1)}
+    assert trace.mu.shape == (3, 3) and not trace.vertex_hit.any()
+    assert trace.mu[:, 0] == pytest.approx([1 / 3] * 3, abs=1e-14)
 
 
-def test_recover_vertex_hit_branch():
-    # Ray from the top neighbor passes exactly through the bottom one.
-    vp = np.array([0.0, 0.0])
-    pts = np.array([[0.0, 2.0], [2.0, 0.5], [0.0, -1.0], [-2.0, 0.5]])
-    row, hits = _recover_vertex(vp, pts)
-    assert hits[0].kind == "vertex"
-    assert hits[0].hit == 2
-    assert hits[0].mu[0] == pytest.approx(1 / 3, abs=1e-14)
-    assert hits[0].mu[1] == pytest.approx(2 / 3, abs=1e-14)
-    assert hits[0].mu[2] == 0.0
-    assert row.sum() == pytest.approx(1.0, abs=1e-12)
+# Vertex 3 at the origin has four neighbors; the rays from 2 (top) and
+# from 4 (below) pass exactly through each other.
+KITE_FACES = [(0, 1, 4), (1, 3, 4), (0, 4, 3), (1, 2, 3), (2, 0, 3)]
+KITE_COORDS = [(-2.0, -1.0), (2.0, -1.0), (0.0, 2.0), (0.0, 0.0), (0.0, -0.5)]
+
+
+def test_recover_vertex_hit_branch(recover_by_loop):
+    d = Drawing(build_maximal_plane_graph(KITE_FACES, (0, 1, 2)), KITE_COORDS)
+    m, trace = recover_coefficients(d)
+    assert trace.cw_order[3] == (0, 2, 1, 4)
+    rays = slice(0, 4)  # vertex 3 comes first
+    assert trace.vertex_hit[rays].tolist() == [False, True, False, True]
+    assert trace.hit[rays][[1, 3]].tolist() == [3, 1]
+    assert trace.mu[1] == pytest.approx([0.2, 0.8, 0.0], abs=1e-15)
+    assert trace.mu[3] == pytest.approx([0.8, 0.2, 0.0], abs=1e-15)
+    assert trace.mu[[1, 3], 2].tolist() == [0.0, 0.0]
+    assert math.fsum(m.weights[3].values()) == pytest.approx(1.0, abs=1e-12)
+    assert m.weights == recover_by_loop(d)[0]
 
 
 def test_recover_trace_invariants(k4, equilateral):
     inst = nested_triangles(9)
-    for d in (inst.gamma0, inst.gamma1, t_drawing(k4, equilateral)):
+    kite = Drawing(build_maximal_plane_graph(KITE_FACES, (0, 1, 2)), KITE_COORDS)
+    for d in (inst.gamma0, inst.gamma1, t_drawing(k4, equilateral), kite):
         res = separated_object_extremes(d).resolution
         m, trace = recover_coefficients(d)
-        for v, hits in trace.hits.items():
-            for hit in hits:
-                assert sum(hit.mu) == pytest.approx(1.0, abs=1e-12)
-                assert hit.mu[0] > 0.0
-                assert hit.mu[1] > 0.0
-                assert hit.mu[2] >= 0.0
-                assert hit.mu[0] >= res - 1e-12
+        mu = trace.mu
+        assert len(mu) == sum(len(cw) for cw in trace.cw_order.values())
+        assert mu.sum(axis=1) == pytest.approx(np.ones(len(mu)), abs=1e-12)
+        assert np.all(mu[:, 0] > 0.0) and np.all(mu[:, 1] > 0.0) and np.all(mu[:, 2] >= 0.0)
+        assert np.all(mu[:, 0] >= res - 1e-12)
+        assert np.all(mu[trace.vertex_hit, 2] == 0.0)
+
+
+def _same_recovery(d, recover_by_loop, name):
+    """recover_coefficients equals the loop: weights, key order and trace."""
+    m, trace = recover_coefficients(d)
+    weights, hits = recover_by_loop(d)
+    assert [(v, list(row.items())) for v, row in m.weights.items()] == \
+        [(v, list(row.items())) for v, row in weights.items()], name
+    assert trace.cw_order == {v: tuple(row) for v, row in weights.items()}, name
+    assert trace.vertex_hit.tolist() == [h[0] for h in hits], name
+    assert trace.hit.tolist() == [h[2] for h in hits], name
+    assert trace.mu.tolist() == [list(h[3]) for h in hits], name
+
+
+def test_recover_equals_loop_oracle(drawing_corpus, delaunay_drawing, recover_by_loop):
+    """The array pass reproduces the per-vertex loop bit for bit on the
+    corpus, nested drawing pairs to n = 117, 100 seeded Delaunay meshes
+    and stacked Tutte drawings with many vertex-hit rays."""
+    for case in drawing_corpus:
+        _same_recovery(case.drawing, recover_by_loop, case.name)
+    for n in range(6, 118, 3):
+        inst = nested_triangles(n)
+        _same_recovery(inst.gamma0, recover_by_loop, f"nested{n}_a")
+        _same_recovery(inst.gamma1, recover_by_loop, f"nested{n}_b")
+    sizes = np.random.default_rng(6).integers(10, 601, size=100)
+    for seed, n in enumerate(sizes):
+        _same_recovery(delaunay_drawing(seed, int(n)), recover_by_loop, f"delaunay{seed}")
+    triangle = nested_triangles(6).outer
+    for n in (20, 100, 300):
+        g = random_stacked_triangulation(n, rng=np.random.default_rng(n))
+        _same_recovery(t_drawing(g, triangle), recover_by_loop, f"stacked{n}")
+
+
+def _fuzz_drawings(rng):
+    """Near-degenerate drawings: eps-scale jitter, a vertex pulled onto
+    (or nearly onto) a neighbor, across the opposite edge of one of its
+    faces, or onto the line of two neighbors, neighbors made collinear
+    with their vertex or wound twice around it, and whole drawings shrunk
+    until lengths underflow or grown until differences overflow."""
+    triangle = nested_triangles(6).outer
+    for case in range(360):
+        g = random_stacked_triangulation(int(rng.integers(5, 16)), rng=rng)
+        coords = t_drawing(g, triangle).coords.copy()
+        v = int(rng.choice(sorted(g.internal_vertices)))
+        face = [f for f in g.faces if v in f][int(rng.integers(0, g.degree(v)))]
+        a, b = (u for u in face if u != v)
+        kind = case % 9
+        if kind == 0:
+            coords += rng.normal(scale=10.0 ** -rng.integers(9, 17), size=coords.shape)
+        elif kind == 1:
+            coords[v] = coords[a] + (coords[v] - coords[a]) * 10.0 ** -rng.integers(8, 330)
+        elif kind == 2:
+            coords[v] = coords[a] + coords[b] - coords[v]  # reflected: face flips
+        elif kind == 3:
+            coords[v] = coords[a] + rng.uniform(-0.5, 1.5) * (coords[b] - coords[a])
+        elif kind == 4:
+            # a neighbor moved onto the line through v and another neighbor
+            c = int(rng.choice(sorted(g.neighbors(v) - {a})))
+            coords[c] = coords[v] + rng.uniform(-2.0, -0.1) * (coords[a] - coords[v])
+        elif kind == 5:
+            coords[v] = coords[a] + rng.uniform(-1e-15, 1e-15, size=2)
+        elif kind == 6:
+            coords *= 10.0 ** -rng.integers(140, 320)
+        elif kind == 7:
+            coords -= coords.mean(axis=0)
+            coords *= rng.uniform(0.3, 1.0) * 1.7e308 / np.abs(coords).max()
+            coords[v] = -coords[a]
+        else:
+            # neighbors on a star polygon: every turn clockwise, two windings
+            cw = neighbors_cw(g, v)
+            angles = rng.uniform(0.0, 2.0 * np.pi) - 4.0 * np.pi * np.arange(len(cw)) / len(cw)
+            coords[list(cw)] = coords[v] + 0.1 * np.stack([np.cos(angles), np.sin(angles)], 1)
+        yield f"fuzz{case}", Drawing(g, coords)
+
+
+def test_recover_matches_loop_on_degenerate_fuzz(recover_by_loop):
+    """Where the loop raises NonStarShaped, the array pass raises the same
+    message; where it returns finite weights, they are equal; where it
+    divides by zero or returns non-finite weights, the array pass raises
+    NonStarShaped instead, and it never warns."""
+    outcomes = {"equal": 0, "same_error": 0, "typed": 0}
+    for name, d in _fuzz_drawings(np.random.default_rng(7)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                weights, _ = recover_by_loop(d)
+                finite = all(math.isfinite(w) for row in weights.values()
+                             for w in row.values())
+                expected = weights if finite else ZeroDivisionError()
+            except (NonStarShaped, ZeroDivisionError) as exc:
+                expected = exc
+        if isinstance(expected, dict):
+            _same_recovery(d, recover_by_loop, name)
+            outcomes["equal"] += 1
+            continue
+        with pytest.raises(NonStarShaped) as info:
+            recover_coefficients(d)
+        if isinstance(expected, NonStarShaped):
+            assert str(info.value) == str(expected), name
+            outcomes["same_error"] += 1
+        else:
+            assert str(info.value).endswith(
+                "ray through the vertex meets a degenerate triangle"), name
+            outcomes["typed"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+def test_recover_extreme_scales_are_typed_errors(k4, recover_by_loop):
+    # eg at n = 300 collapses until the squared chord of a vertex-hit ray
+    # underflows: a bare ZeroDivisionError before.
+    inst = eades_garvan(300, 0.25, 0.5)
+    with pytest.raises(NonStarShaped, match=r"^vertex \d+: ray through the vertex meets a "
+                                            r"degenerate triangle$"):
+        recover_coefficients(t_drawing(inst.graph, inst.outer))
+    # The offset to neighbor 0 overflows, so its ray has no direction.
+    d = Drawing(k4, [(-1e308, -1e308), (1e308, -1e308), (0.0, 1e308), (9e307, -9e307)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NonStarShaped) as expected:
+            recover_by_loop(d)
+    with pytest.raises(NonStarShaped) as info:
+        recover_coefficients(d)
+    assert str(info.value) == str(expected.value) == \
+        "vertex 3: ray through the vertex leaves no polygon sector"
 
 
 def test_recover_rejects_folded_drawing(k4, equilateral):

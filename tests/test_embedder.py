@@ -117,6 +117,20 @@ def test_residual_equals_loop_oracle(solve_corpus):
             assert residual(drawing, matrix) == _residual_by_loop(drawing, matrix) / diameter, name
 
 
+@pytest.mark.parametrize("coords", [
+    [(0.0, 0.0), (3.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
+    [(0.5, 1.5), (2.0, -1.5), (1.0, 0.5), (1.5, -0.5)],
+    [(1.0, 1.0)] * 4,
+], ids=["collinear", "collinear_sloped", "coincident"])
+def test_residual_without_convex_hull(k4, coords):
+    # Qhull rejects these point sets; the diameter is still the all-pairs one.
+    d, matrix = Drawing(k4, coords), uniform_coefficients(k4)
+    diff = d.coords[:, None, :] - d.coords[None, :, :]
+    diameter = float(np.hypot(diff[..., 0], diff[..., 1]).max())
+    worst = _residual_by_loop(d, matrix)
+    assert residual(d, matrix) == (worst / diameter if diameter else math.inf)
+
+
 def test_non_finite_weight_is_singular_system(k4, equilateral):
     # pins the check that lets _solve skip scipy's input scan
     bad = CoefficientMatrix(k4, {3: {0: math.nan, 1: 0.5, 2: 0.5}})

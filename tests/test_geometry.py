@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
 
 from barymorph import (
     Drawing,
@@ -132,25 +131,6 @@ def test_extremes_equal_pairwise_reference(equilateral):
             assert all(type(i) is int for i in witness_ids), name
 
 
-def _delaunay_drawing(seed, n, equilateral):
-    """Delaunay triangulation of the outer corners and n - 3 seeded
-    points inside, drawn at the points themselves."""
-    rng = np.random.default_rng(seed)
-    corners = equilateral.points
-    u = rng.random((n - 3, 2))
-    flip = u.sum(axis=1) > 1.0
-    u[flip] = 1.0 - u[flip]
-    pts = np.vstack([corners, corners[0] + u @ (corners[1:] - corners[0])])
-    faces = [(a, b, c) if _ccw(pts, a, b, c) else (a, c, b)
-             for a, b, c in Delaunay(pts).simplices.tolist()]
-    return Drawing(build_maximal_plane_graph(faces, (0, 1, 2)), pts)
-
-
-def _ccw(pts, a, b, c):
-    (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
-
-
 def _nested_halfway(n):
     inst = nested_triangles(n)
     m0, _ = recover_coefficients(inst.gamma0)
@@ -158,7 +138,7 @@ def _nested_halfway(n):
     return morph_at(fg_morph(inst.graph, m0, m1, inst.outer, validate=False), 0.5)
 
 
-def test_extremes_face_path_equals_brute_force(drawing_corpus, equilateral):
+def test_extremes_face_path_equals_brute_force(drawing_corpus, delaunay_drawing):
     """The face-local path reports exactly what the pairwise fallback
     does, witnesses included, on the corpus, eg rows to n=520, nested
     halfway drawings 6-117 and seeded Delaunay meshes."""
@@ -168,7 +148,7 @@ def test_extremes_face_path_equals_brute_force(drawing_corpus, equilateral):
         cases.append((f"eg{n}", f_drawing(inst.graph, inst.matrix, inst.outer,
                                           validate=False)))
     cases += [(f"nested_half{n}", _nested_halfway(n)) for n in range(6, 118, 3)]
-    cases += [(f"delaunay{seed}", _delaunay_drawing(seed, n, equilateral))
+    cases += [(f"delaunay{seed}", delaunay_drawing(seed, n))
               for seed, n in enumerate((20, 60, 150, 300, 450))]
     for name, d in cases:
         assert separated_object_extremes(d) == _extremes_by_pairs(d), name
